@@ -200,8 +200,9 @@ let json_workloads ~quick () =
   (* The certifier dimension: the SSI files keep their historical names and
      (with the default certifier) their exact contents, so committed SSI
      baselines stay byte-identical.  The watermark certifiers write
-     _ssn/_essn-suffixed files covering the serializable modes only — SI
-     and S2PL never consult a certifier. *)
+     _ssn/_essn-suffixed files covering the SSI mode only: SI and S2PL
+     never consult a certifier, and the read-only optimization that
+     SSI_no_ro_opt turns off is SSI's alone. *)
   let entries =
     List.concat_map
       (fun (name, setup, specs, modes) ->
@@ -210,8 +211,7 @@ let json_workloads ~quick () =
             let stem = name ^ suffix in
             let modes =
               if certifier = Certifier.SSI then modes
-              else
-                List.filter (fun m -> m = Driver.SSI || m = Driver.SSI_no_ro_opt) modes
+              else [ Driver.SSI ]
             in
             (stem, fun () -> run_json_workload ~certifier ~duration stem ~setup ~specs modes))
           [ (Certifier.SSI, ""); (Certifier.SSN, "_ssn"); (Certifier.ESSN, "_essn") ])
@@ -262,13 +262,8 @@ let micro_tests () =
      an idle declared-read-only transaction is immediately granted a safe
      snapshot (§4.2) and would skip the read tracking this microbenchmark
      is measuring. *)
-  let test_of ?(tracing = true) name isolation kind =
+  let test_of name isolation kind =
     let db = make_db () in
-    (* Span recording is unconditional (causality must survive into
-       post-mortems); only ring emission is toggleable.  The -notrace
-       variant isolates that ring cost the same way query/SSI-safe
-       isolates read tracking. *)
-    if not tracing then Ssi_obs.Obs.set_tracing (E.obs db) false;
     Test.make ~name
       (Staged.stage (fun () ->
            match kind with
@@ -289,7 +284,6 @@ let micro_tests () =
     test_of "query/S2PL" E.Serializable_2pl `Query;
     test_of "update/SI" E.Repeatable_read `Update;
     test_of "update/SSI" E.Serializable `Update;
-    test_of "update/SSI-notrace" ~tracing:false E.Serializable `Update;
     test_of "update/S2PL" E.Serializable_2pl `Update;
   ]
 
@@ -329,8 +323,7 @@ let micro () =
     results;
   Printf.printf
     "(query/SSI vs SI is the read-tracking CPU overhead, paper: 10-20%%;\n\
-    \ query/SSI-safe shows the safe-snapshot optimization recovering it;\n\
-    \ update/SSI-notrace isolates the trace-ring share of telemetry cost)\n"
+    \ query/SSI-safe shows the safe-snapshot optimization recovering it)\n"
 
 (* ---- Regression gate ------------------------------------------------------------ *)
 

@@ -26,8 +26,8 @@
    workload subcommand runs a single configuration and reports its
    numbers, which is handy for ad-hoc comparisons.  stats and trace run
    the same workloads but expose the observability core: every counter,
-   gauge and latency histogram the engine recorded, or the ring of
-   structured trace events. *)
+   gauge and latency histogram the engine recorded, or the events
+   attached to the retained spans. *)
 
 open Cmdliner
 open Ssi_workload
@@ -183,7 +183,8 @@ let run_workload name mode_str cert_str workers duration seed =
 
 (* Run a workload while holding on to the engine (via the pre-setup chaos
    hook), then dump the observability core: the full metric registry
-   (stats) or the retained trace-event ring as JSON Lines (trace). *)
+   (stats) or the events attached to the retained spans as JSON Lines
+   (trace). *)
 
 module Scrape = Ssi_obs.Scrape
 module Watchdog = Ssi_obs.Watchdog
@@ -842,8 +843,9 @@ let trace_cmd =
   Cmd.v
     (Cmd.info "trace"
        ~doc:
-         "Run a workload, then dump the retained structured trace events (commits, \
-          aborts, conflicts, summarizations) as JSON Lines")
+         "Run a workload, then dump every event attached to a retained span (conflict \
+          evidence, serialization failures, faults, safe snapshots) as JSON Lines, in \
+          emission order")
     Term.(
       const run_trace $ wl_arg $ mode_arg $ certifier_arg $ workers_arg $ duration_arg
       $ seed_arg $ filter_arg $ limit_arg)
@@ -853,8 +855,8 @@ let explain_cmd =
     Arg.(value & opt int 65536
          & info [ "trace-capacity" ] ~docv:"N"
              ~doc:
-               "Size of the trace ring and span table; must exceed the run's event volume \
-                or evidence is overwritten (the report then says so)")
+               "Size of the span table; must exceed the run's span volume or evidence is \
+                overwritten (the report then says so)")
   in
   Cmd.v
     (Cmd.info "explain"
@@ -917,8 +919,8 @@ let chaos_cmd =
     Arg.(value & opt (some int) None
          & info [ "trace-capacity" ] ~docv:"N"
              ~doc:
-               "Size of the trace ring and span table (default 4096 each); exports and \
-                explanations need this above the run's event volume")
+               "Size of the span table (default 4096); exports and explanations need this \
+                above the run's span volume")
   in
   let kill_points_arg =
     Arg.(value & opt int 0

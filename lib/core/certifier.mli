@@ -17,7 +17,7 @@
       read-only transactions ({!Essn}).
 
     All three raise {!Ssi.Serialization_failure} and accept the shared
-    {!Ssi.config}.  Metrics and trace events are namespaced by
+    {!Ssi.config}.  Metrics and span events are namespaced by
     {!prefix} ([ssi.*], [ssn.*], [essn.*]) so output from different
     certifiers never aliases. *)
 
@@ -35,7 +35,7 @@ val prefix : kind -> string
     [<prefix>.conflicts], [<prefix>.dooms], [<prefix>.failures],
     [<prefix>.victims.<reason>], and [<prefix>.fail] / [<prefix>.doom] /
     [<prefix>.rw_edge] (plus [ssi.dangerous] or [<prefix>.exclusion])
-    trace events. *)
+    span events. *)
 
 type node = ..
 (** Per-transaction certifier state; each implementation contributes its

@@ -637,7 +637,12 @@ let finalize_safety t r =
     if not r.unsafe then begin
       r.safe <- true;
       Obs.incr t.metrics.m_safe_snapshots;
-      Obs.trace t.obs "ssi.safe_snapshot" ~fields:[ ("xid", Obs.I r.xid) ];
+      (* Only a running transaction has a span to record this on: the
+         engine records a snapshot already safe at begin once the span
+         exists, and one that turns safe after commit concerns nobody. *)
+      Option.iter
+        (fun sp -> Obs.Span.event t.obs sp "ssi.safe_snapshot")
+        (Obs.owner_span t.obs r.xid);
       drop_tracking t r
     end;
     Waitq.wake_all r.safety_wq
@@ -846,8 +851,6 @@ let summarize_oldest t =
   | None -> ()
   | Some c ->
       Obs.incr t.metrics.m_summarized;
-      Obs.trace t.obs "ssi.summarize"
-        ~fields:[ ("xid", Obs.I c.xid); ("cseq", Obs.I c.commit_cseq) ];
       Predlock.summarize_owner t.locks c.xid ~cseq:c.commit_cseq;
       Hashtbl.replace t.oldserxid c.xid
         { old_commit = c.commit_cseq; old_earliest_out = effective_earliest_out c };

@@ -48,7 +48,7 @@ type node
 type t
 
 val create : ?config:config -> ?obs:Ssi_obs.Obs.t -> Ssi_mvcc.Mvcc.Clog.t -> t
-(** [obs] is the metrics/trace registry this manager (and the predicate
+(** [obs] is the registry this manager (and the predicate
     lock manager it owns) reports into; a private registry is created
     when omitted.  See {!obs} for the metric names. *)
 
@@ -59,7 +59,8 @@ val obs : t -> Ssi_obs.Obs.t
     [ssi.conflicts], [ssi.dooms], [ssi.failures], [ssi.summarized],
     [ssi.safe_snapshots], [ssi.cleanups], and per-abort-reason
     [ssi.victims.<reason>] counters, plus [ssi.fail] / [ssi.doom] /
-    [ssi.summarize] / [ssi.safe_snapshot] trace events. *)
+    [ssi.dangerous] / [ssi.rw_edge] / [ssi.safe_snapshot] events on the
+    affected transactions' spans. *)
 
 val max_committed_sxacts : t -> int
 

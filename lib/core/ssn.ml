@@ -427,9 +427,6 @@ let summarize_oldest t =
   | None -> ()
   | Some c ->
       Obs.incr t.metrics.m_summarized;
-      Obs.trace t.obs
-        (t.prefix ^ ".summarize")
-        ~fields:[ ("xid", Obs.I c.xid); ("cseq", Obs.I c.commit_cseq) ];
       (* The predicate-lock record carries the reader's *effective* stamp:
          under ESSN a summarized read-only reader keeps contributing its
          snapshot position, not its commit stamp. *)

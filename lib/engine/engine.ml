@@ -140,7 +140,6 @@ type t = {
   mutable commit_gate : (unit -> unit) option;
   mutable commit_wait : (commit_record -> unit) option;
   mutable fault_injector : (op:string -> unit) option;
-  mutable tracer : (string -> unit) option;
   mutable wal_log : Wal.t option;  (** the durable log, when attached *)
 }
 
@@ -216,7 +215,6 @@ let create ?(scheduler = Waitq.direct) ?(config = default_config) ?obs () =
     commit_gate = None;
     commit_wait = None;
     fault_injector = None;
-    tracer = None;
     wal_log = None;
   }
 
@@ -231,27 +229,18 @@ let set_commit_gate t f = t.commit_gate <- f
 let set_commit_wait t f = t.commit_wait <- f
 let set_fault_injector t f = t.fault_injector <- f
 
-let set_tracer t f =
-  t.tracer <- f;
-  Lockmgr.set_tracer t.locks f
-
-let trace db fmt =
-  match db.tracer with
-  | None -> Printf.ifprintf () fmt
-  | Some f -> Printf.ksprintf f fmt
-
 (* A fault point: where an installed injector may kill the current
    operation with a retryable error.  Never placed after a commit point, so
    acknowledged commits are durable and faulted attempts wrote nothing. *)
-let fault_point db ~op =
+let fault_point txn ~op =
+  let db = txn.db in
   match db.fault_injector with
   | None -> ()
   | Some inject -> (
       try inject ~op
       with Transient_fault _ as e ->
         Obs.incr db.metrics.m_faults;
-        Obs.trace db.obs "fault" ~fields:[ ("op", Obs.S op) ];
-        trace db "fault injected at %s" op;
+        Option.iter (fun s -> Obs.Span.event db.obs ~fields:[ ("op", Obs.S op) ] s "fault") txn.span;
         raise e)
 
 let obs t = t.obs
@@ -472,7 +461,12 @@ let make_txn db ~iso ~ro ~xid ~snapshot ~sxact ~span =
       Obs.Span.add s "xid" (Obs.I xid);
       (* Layers that know the transaction only by xid (SSI manager,
          predicate locks, lock manager) attach their events here. *)
-      Obs.set_owner_span db.obs xid s
+      Obs.set_owner_span db.obs xid s;
+      (* Safe from the start (or after a deferrable wait): the certifier
+         decided before this span existed. *)
+      (match sxact with
+      | Some node when db.cert.Certifier.is_safe node -> Obs.Span.event db.obs s "ssi.safe_snapshot"
+      | _ -> ())
   | None -> ());
   Hashtbl.add db.active xid txn;
   Obs.set_gauge db.metrics.g_active (float_of_int (Hashtbl.length db.active));
@@ -801,8 +795,7 @@ let map_lock_errors txn f =
 
 let read txn ~table ~key =
   start_op txn;
-  fault_point txn.db ~op:"read";
-  trace txn.db "x%d read %s/%s" txn.txn_xid table (Value.to_string key);
+  fault_point txn ~op:"read";
   let tbl = table_of txn.db table in
   let result =
     map_lock_errors txn (fun () ->
@@ -820,8 +813,7 @@ let index_of db name =
 
 let index_scan txn ~table ~index ~lo ~hi =
   start_op txn;
-  fault_point txn.db ~op:"index_scan";
-  trace txn.db "x%d scan %s[%s..%s]" txn.txn_xid index (Value.to_string lo) (Value.to_string hi);
+  fault_point txn ~op:"index_scan";
   let db = txn.db in
   let tbl = table_of db table in
   let idx = index_of db index in
@@ -929,8 +921,7 @@ let index_scan txn ~table ~index ~lo ~hi =
 
 let seq_scan txn ~table ?(filter = fun _ -> true) () =
   start_op txn;
-  fault_point txn.db ~op:"seq_scan";
-  trace txn.db "x%d seqscan %s" txn.txn_xid table;
+  fault_point txn ~op:"seq_scan";
   let db = txn.db in
   let tbl = table_of db table in
   let rel = Heap.rel_name tbl.heap in
@@ -1010,9 +1001,7 @@ let all_indexes tbl = tbl.pk_index :: tbl.secondary
 
 let insert txn ~table row =
   start_op txn;
-  fault_point txn.db ~op:"insert";
-  trace txn.db "x%d insert %s/%s" txn.txn_xid table
-    (Value.to_string (Schema.key_of_row (Heap.schema (table_of txn.db table).heap) row));
+  fault_point txn ~op:"insert";
   ensure_writable txn;
   let db = txn.db in
   let tbl = table_of db table in
@@ -1139,8 +1128,7 @@ let rec locate_for_write txn tbl key =
 
 let update txn ~table ~key ~f =
   start_op txn;
-  fault_point txn.db ~op:"update";
-  trace txn.db "x%d update %s/%s" txn.txn_xid table (Value.to_string key);
+  fault_point txn ~op:"update";
   ensure_writable txn;
   let db = txn.db in
   let tbl = table_of db table in
@@ -1172,8 +1160,7 @@ let update txn ~table ~key ~f =
 
 let delete txn ~table ~key =
   start_op txn;
-  fault_point txn.db ~op:"delete";
-  trace txn.db "x%d delete %s/%s" txn.txn_xid table (Value.to_string key);
+  fault_point txn ~op:"delete";
   ensure_writable txn;
   let db = txn.db in
   let tbl = table_of db table in
@@ -1336,7 +1323,6 @@ let prepared_image_of db txn gid =
 let abort txn =
   if not txn.finished then begin
     let db = txn.db in
-    trace db "x%d abort" txn.txn_xid;
     List.iter (apply_undo_entry db) txn.undo;
     txn.undo <- [];
     txn.undo_len <- 0;
@@ -1349,8 +1335,7 @@ let abort txn =
     | None -> ());
     (match txn.span with Some s -> Obs.Span.add s "outcome" (Obs.S "aborted") | None -> ());
     finish_txn txn;
-    Obs.incr db.metrics.m_aborts;
-    Obs.trace db.obs "txn.abort" ~fields:[ ("xid", Obs.I txn.txn_xid) ]
+    Obs.incr db.metrics.m_aborts
   end
 
 let commit txn =
@@ -1363,11 +1348,10 @@ let commit txn =
         Some (Obs.Span.start db.obs ~parent "txn.commit" ~attrs:[ ("xid", Obs.I txn.txn_xid) ])
     | None -> None
   in
-  let close_span ?cseq ~ok () =
+  let close_span ~ok =
     match cspan with
     | None -> ()
     | Some s ->
-        (match cseq with Some c -> Obs.Span.add s "cseq" (Obs.I c) | None -> ());
         if not ok then Obs.Span.add s "error" (Obs.B true);
         Obs.Span.finish db.obs s
   in
@@ -1376,25 +1360,24 @@ let commit txn =
      would be orphaned. *)
   (try
      ensure_running txn;
-     fault_point db ~op:"commit";
+     fault_point txn ~op:"commit";
      (* The commit gate runs before the commit point: a fenced (deposed)
         primary refuses new commits here, so clients see a retryable
         failure rather than a write the cluster will never accept. *)
      (match db.commit_gate with Some gate -> gate () | None -> ());
      match txn.sxact with Some node -> db.cert.Certifier.precommit node | None -> ()
    with (Serialization_failure _ | Transient_fault _) as e ->
-     close_span ~ok:false ();
+     close_span ~ok:false;
      abort txn;
      raise e);
   let cseq = Clog.commit db.clog txn.txn_xid in
-  trace db "x%d commit cseq=%d" txn.txn_xid cseq;
+  Option.iter (fun s -> Obs.Span.add s "cseq" (Obs.I cseq)) cspan;
   (match txn.sxact with
   | Some node -> db.cert.Certifier.committed node ~commit_cseq:cseq
   | None -> ());
   (match txn.span with Some s -> Obs.Span.add s "outcome" (Obs.S "committed") | None -> ());
   finish_txn txn;
   Obs.incr db.metrics.m_commits;
-  Obs.trace db.obs "txn.commit" ~fields:[ ("xid", Obs.I txn.txn_xid); ("cseq", Obs.I cseq) ];
   let wal_lsn = wal_append_commit db txn cseq ~gid:None in
   let record = emit_wal db txn cseq ~span:(Option.map Obs.Span.ctx cspan) in
   charge_io db db.cfg.costs.io_commit;
@@ -1407,7 +1390,7 @@ let commit txn =
   (match (db.commit_wait, record) with
   | Some wait, Some r -> wait r
   | _ -> ());
-  close_span ~cseq ~ok:true ()
+  close_span ~ok:true
 
 (* Commit latency includes the pre-commit SSI check, the commit-record
    I/O charge, and any WAL-hook work. *)
@@ -1420,7 +1403,7 @@ let prepare txn ~gid =
   if Hashtbl.mem db.prepared_by_gid gid then invalid_arg ("Engine.prepare: duplicate gid " ^ gid);
   (try
      ensure_running txn;
-     fault_point db ~op:"prepare";
+     fault_point txn ~op:"prepare";
      match txn.sxact with Some node -> db.cert.Certifier.prepare node | None -> ()
    with (Serialization_failure _ | Transient_fault _) as e ->
      abort txn;
@@ -1455,24 +1438,19 @@ let commit_prepared db ~gid =
     | None -> None
   in
   let cseq = Clog.commit db.clog txn.txn_xid in
+  Option.iter (fun s -> Obs.Span.add s "cseq" (Obs.I cseq)) cspan;
   (match txn.sxact with
   | Some node -> db.cert.Certifier.committed node ~commit_cseq:cseq
   | None -> ());
   (match txn.span with Some s -> Obs.Span.add s "outcome" (Obs.S "committed") | None -> ());
   finish_txn txn;
   Obs.incr db.metrics.m_commits;
-  Obs.trace db.obs "txn.commit"
-    ~fields:[ ("xid", Obs.I txn.txn_xid); ("cseq", Obs.I cseq); ("gid", Obs.S gid) ];
   let wal_lsn = wal_append_commit db txn cseq ~gid:(Some gid) in
   let record = emit_wal db txn cseq ~span:(Option.map Obs.Span.ctx cspan) in
   charge_io db db.cfg.costs.io_commit;
   (match wal_lsn with Some (w, lsn) -> wal_wait db w lsn | None -> ());
   (match (db.commit_wait, record) with Some wait, Some r -> wait r | _ -> ());
-  match cspan with
-  | Some s ->
-      Obs.Span.add s "cseq" (Obs.I cseq);
-      Obs.Span.finish db.obs s
-  | None -> ()
+  Option.iter (Obs.Span.finish db.obs) cspan
 
 let rollback_prepared db ~gid =
   let txn = prepared_txn db gid in
@@ -1577,7 +1555,7 @@ let simulate_connection_loss db =
     in_flight;
   db.cert.Certifier.recover ();
   Obs.incr ~by:(List.length in_flight) db.metrics.m_aborts;
-  Obs.trace db.obs "crash" ~fields:[ ("in_flight", Obs.I (List.length in_flight)) ]
+  Obs.Span.instant db.obs "crash" ~attrs:[ ("in_flight", Obs.I (List.length in_flight)) ]
 
 (* ---- Durability: epochs, checkpoints, cold-start recovery ------------------------- *)
 
@@ -1863,9 +1841,6 @@ let recover ?scheduler ?config ?obs w =
   Obs.Span.add span "truncated" (Obs.I truncated);
   Obs.Span.add span "prepared" (Obs.I n_prepared);
   Obs.Span.finish db.obs span;
-  Obs.trace db.obs "recovery"
-    ~fields:
-      [ ("records", Obs.I !replayed); ("truncated", Obs.I truncated); ("prepared", Obs.I n_prepared) ];
   let report =
     {
       rr_records = !replayed;
@@ -1956,27 +1931,30 @@ let retry_with ?isolation ?read_only ?deferrable ?(policy = default_retry_policy
         close_attempt "committed";
         result
     | exception e when policy.retryable e ->
-        close_attempt
-          (match e with
-          | Serialization_failure _ -> "serialization_failure"
-          | Transient_fault _ -> "fault"
-          | _ -> "error");
+        (* The attempt span is this attempt's transaction span: the
+           failure and a give-up are recorded on it before it closes. *)
+        let note ~fields name = Option.iter (fun s -> Obs.Span.event db.obs ~fields s name) asp in
         (match e with
         | Serialization_failure { xid; reason } ->
             Obs.incr db.metrics.m_serialization_failures;
-            Obs.trace db.obs "txn.serialization_failure"
-              ~fields:[ ("xid", Obs.I xid); ("reason", Obs.S reason) ]
+            note "txn.serialization_failure" ~fields:[ ("xid", Obs.I xid); ("reason", Obs.S reason) ]
         | _ -> ());
         let out_of_time =
           match policy.deadline with
           | Some d -> db.sched.now () -. started >= d
           | None -> false
         in
-        if n >= policy.max_attempts || out_of_time then begin
+        let give_up = n >= policy.max_attempts || out_of_time in
+        if give_up then begin
           Obs.incr db.metrics.m_giveups;
-          Obs.trace db.obs "txn.giveup" ~fields:[ ("attempts", Obs.I n) ];
-          raise e
-        end
+          note "txn.giveup" ~fields:[ ("attempts", Obs.I n) ]
+        end;
+        close_attempt
+          (match e with
+          | Serialization_failure _ -> "serialization_failure"
+          | Transient_fault _ -> "fault"
+          | _ -> "error");
+        if give_up then raise e
         else begin
           Obs.incr db.metrics.m_retries;
           let b = backoff_after n in

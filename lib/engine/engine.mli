@@ -407,9 +407,10 @@ val obs : t -> Ssi_obs.Obs.t
     per-operation virtual-time latency histograms
     [engine.latency.read|index_scan|seq_scan|insert|update|delete|commit].
     The same registry carries the [ssi.*], [predlock.*] and [lockmgr.*]
-    metrics of the layers below, and trace events ([txn.commit],
-    [txn.abort], [txn.serialization_failure], [txn.giveup], [fault],
-    [crash], [ssi.*]).  Windowed readings come from [Obs.snap] plus the
+    metrics of the layers below, and the transaction spans with their
+    events ([txn.serialization_failure] and [txn.giveup] on attempt
+    spans, [fault], [ssi.*]) and the instant [crash] span.  Windowed
+    readings come from [Obs.snap] plus the
     [Obs.delta_*] accessors, which replaced the old mutable stats
     records. *)
 
@@ -431,9 +432,6 @@ val table_schema : t -> table:string -> Schema.t
 val table_indexes : t -> table:string -> (string * string) list
 (** [(index name, indexed column)] for every index on the table, the
     primary-key index first. *)
-
-val set_tracer : t -> (string -> unit) option -> unit
-(** Install (or clear) a debug tracer receiving one line per operation. *)
 
 val dump_active : t -> string list
 (** One debug line per in-flight transaction (for tests and debugging). *)

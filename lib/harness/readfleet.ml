@@ -17,7 +17,7 @@ module Watchdog = Ssi_obs.Watchdog
 module Sim = Ssi_sim.Sim
 module F = Ssi_fault.Fault
 module Rng = Ssi_util.Rng
-module Oracle = Test_oracle.Oracle
+module Oracle = Ssi_oracle.Oracle
 
 type cfg = {
   seed : int;

@@ -12,7 +12,7 @@
     catch-up and then checks:
 
     - {e exactness + serializability} of every routed read (replica- and
-      primary-served) via {!Test_oracle.Oracle.check_replica_reads}, per
+      primary-served) via {!Ssi_oracle.Oracle.check_replica_reads}, per
       lineage era;
     - {e cross-failover serializability}: the surviving lineage (old-era
       prefix the promotion kept, then all new-era commits) plus all

@@ -12,7 +12,7 @@ module Rng = Ssi_util.Rng
 module Waitq = Ssi_util.Waitq
 module Obs = Ssi_obs.Obs
 module Value = Ssi_storage.Value
-module Oracle = Test_oracle.Oracle
+module Oracle = Ssi_oracle.Oracle
 module Driver = Ssi_workload.Driver
 
 type cfg = {

@@ -14,7 +14,7 @@
 
     - {e combined serializability}: the per-shard branch logs spliced on
       the coordinator commit timestamps
-      ({!Test_oracle.Oracle.splice_shards}) form an acyclic DSG — the
+      ({!Ssi_oracle.Oracle.splice_shards}) form an acyclic DSG — the
       cross-shard dangerous-structure test no single certifier can run;
     - {e exactness}: each key's final stamp is its last committed
       writer's global xid;

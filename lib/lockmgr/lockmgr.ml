@@ -76,7 +76,6 @@ type t = {
   sched : Waitq.scheduler;
   obs : Obs.t;
   mutable waiting : int;
-  mutable tracer : (string -> unit) option;
   m_waits : Obs.counter;
   m_deadlocks : Obs.counter;
 }
@@ -88,17 +87,9 @@ let create ?(obs = Obs.create ()) sched =
     sched;
     obs;
     waiting = 0;
-    tracer = None;
     m_waits = Obs.counter obs "lockmgr.waits";
     m_deadlocks = Obs.counter obs "lockmgr.deadlocks";
   }
-
-let set_tracer t f = t.tracer <- f
-
-let trace t fmt =
-  match t.tracer with
-  | None -> Printf.ifprintf () fmt
-  | Some f -> Printf.ksprintf f fmt
 
 let get_lock t target =
   match Target_table.find_opt t.table target with
@@ -225,9 +216,6 @@ let remove_request lock req =
 
 let acquire t ~owner target mode =
   let lock = get_lock t target in
-  trace t "lock x%d %s %s" owner
-    (Format.asprintf "%a" pp_target target)
-    (Format.asprintf "%a" pp_mode mode);
   if holds t ~owner target mode then ()
   else if
     (not (conflicts_with_holders lock ~owner ~mode)) && Queue.is_empty lock.waiters
@@ -241,7 +229,6 @@ let acquire t ~owner target mode =
     t.waiting <- t.waiting + 1;
     (* Maybe the queue was non-empty only with compatible requests. *)
     grant_waiters t lock;
-    trace t "lock x%d WAIT" owner;
     if not req.granted then begin
       Obs.incr t.m_waits;
       (* The wait interval is a child span of the owning transaction's span

@@ -43,9 +43,6 @@ val create : ?obs:Ssi_obs.Obs.t -> Ssi_util.Waitq.scheduler -> t
     [lockmgr.deadlocks] counts cycles detected); a private registry is
     created when omitted. *)
 
-val set_tracer : t -> (string -> unit) option -> unit
-(** Install a debug tracer receiving one line per acquisition/wait. *)
-
 val acquire : t -> owner:Heap.xid -> target -> mode -> unit
 (** Grant the lock, suspending while incompatible locks are held by other
     owners.  Re-acquiring a covered mode is a no-op.  May raise

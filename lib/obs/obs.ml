@@ -40,31 +40,26 @@ type span = {
   mutable sp_nevents : int;
 }
 
-(* Events attached to one span are bounded separately from the ring so a
-   hot span (a seq scan taking thousands of locks) cannot grow without
-   bound; overflow is counted in [obs.spans.events_dropped]. *)
+(* Events attached to one span are bounded so a hot span cannot grow
+   without bound; overflow is counted in [obs.spans.events_dropped]. *)
 let span_event_cap = 64
 
 type t = {
   metrics : (string, metric) Hashtbl.t;
   mutable clock : unit -> float;
   mutable last_ts : float;  (* last successful clock reading *)
-  ring : event option array;
-  mutable next_seq : int;
-  mutable trace_on : bool;
+  mutable next_seq : int;  (* span-event emission index *)
   spans : span option array;  (* finished spans, bounded *)
   mutable span_seq : int;  (* finished-span insertion index *)
   mutable next_trace : int;
   mutable next_span : int;
   open_spans : (int, span) Hashtbl.t;  (* span_id -> span *)
   owner_spans : (int, span) Hashtbl.t;  (* txn xid -> owning span *)
-  trace_dropped : counter;
   span_dropped : counter;
   span_events_dropped : counter;
 }
 
-let create ?(trace_capacity = 4096) ?(span_capacity = 4096) () =
-  if trace_capacity <= 0 then invalid_arg "Obs.create: trace_capacity must be positive";
+let create ?(span_capacity = 4096) () =
   if span_capacity <= 0 then invalid_arg "Obs.create: span_capacity must be positive";
   let metrics = Hashtbl.create 64 in
   (* The drop counters exist from birth so truncation is visible in every
@@ -78,16 +73,13 @@ let create ?(trace_capacity = 4096) ?(span_capacity = 4096) () =
     metrics;
     clock = (fun () -> 0.);
     last_ts = 0.;
-    ring = Array.make trace_capacity None;
     next_seq = 0;
-    trace_on = true;
     spans = Array.make span_capacity None;
     span_seq = 0;
     next_trace = 0;
     next_span = 0;
     open_spans = Hashtbl.create 64;
     owner_spans = Hashtbl.create 64;
-    trace_dropped = eager "obs.trace.dropped";
     span_dropped = eager "obs.spans.dropped";
     span_events_dropped = eager "obs.spans.events_dropped";
   }
@@ -270,31 +262,8 @@ let render t =
   Tablefmt.render ~header:[ "metric"; "kind"; "value" ] rows
 
 (* ------------------------------------------------------------------ *)
-(* Trace events                                                       *)
+(* Event export                                                       *)
 (* ------------------------------------------------------------------ *)
-
-let set_tracing t on = t.trace_on <- on
-let tracing t = t.trace_on
-
-let ring_put t ev =
-  let slot = ev.seq mod Array.length t.ring in
-  (match t.ring.(slot) with Some _ -> incr t.trace_dropped | None -> ());
-  t.ring.(slot) <- Some ev
-
-let trace t ?(fields = []) name =
-  if t.trace_on then begin
-    let seq = t.next_seq in
-    t.next_seq <- seq + 1;
-    ring_put t { seq; ts = now t; name; fields }
-  end
-
-(* Span events share the global [next_seq] ordering but may skip the ring
-   (e.g. per-lock events that would flood it), so the ring can hold any
-   subset of the sequence — reconstruct by sorting, not by position. *)
-let events t =
-  Array.to_list t.ring
-  |> List.filter_map Fun.id
-  |> List.sort (fun a b -> Stdlib.compare a.seq b.seq)
 
 let json_escape s =
   let buf = Buffer.create (String.length s + 8) in
@@ -332,10 +301,6 @@ let event_to_json e =
     e.fields;
   Buffer.add_char buf '}';
   Buffer.contents buf
-
-let events_to_jsonl t =
-  events t |> List.map event_to_json |> String.concat "\n"
-  |> fun s -> if s = "" then s else s ^ "\n"
 
 (* ------------------------------------------------------------------ *)
 (* Spans                                                              *)
@@ -384,15 +349,15 @@ module Span = struct
 
   let add sp k v = sp.sp_attrs <- (k, v) :: List.remove_assoc k sp.sp_attrs
 
-  let event t ?(ring = true) ?(fields = []) sp name =
-    let seq = t.next_seq in
-    t.next_seq <- seq + 1;
-    let fields = ("span", I sp.sp_id) :: ("trace", I sp.sp_trace) :: fields in
-    let ev = { seq; ts = now t; name; fields } in
-    if ring && t.trace_on then ring_put t ev;
+  let instant t ~attrs name = finish t (start t ~attrs name)
+
+  let event t ?(fields = []) sp name =
     if sp.sp_nevents >= span_event_cap then incr t.span_events_dropped
     else begin
-      sp.sp_events <- ev :: sp.sp_events;
+      let seq = t.next_seq in
+      t.next_seq <- seq + 1;
+      let fields = ("span", I sp.sp_id) :: ("trace", I sp.sp_trace) :: fields in
+      sp.sp_events <- { seq; ts = now t; name; fields } :: sp.sp_events;
       sp.sp_nevents <- sp.sp_nevents + 1
     end
 
@@ -412,10 +377,10 @@ let set_owner_span t xid sp = Hashtbl.replace t.owner_spans xid sp
 let clear_owner_span t xid = Hashtbl.remove t.owner_spans xid
 let owner_span t xid = Hashtbl.find_opt t.owner_spans xid
 
-let span_event_owner t ?ring ?fields xid name =
+let span_event_owner t ?fields xid name =
   match owner_span t xid with
-  | Some sp -> Span.event t ?ring ?fields sp name
-  | None -> if ring <> Some false then trace t ?fields name
+  | Some sp -> Span.event t ?fields sp name
+  | None -> incr t.span_events_dropped
 
 module Spans = struct
   let finished t =
@@ -484,3 +449,11 @@ module Spans = struct
     Buffer.add_string buf "\n]}\n";
     Buffer.contents buf
 end
+
+let events t =
+  List.concat_map Span.events (Spans.all t)
+  |> List.sort (fun a b -> Stdlib.compare a.seq b.seq)
+
+let events_to_jsonl t =
+  events t |> List.map event_to_json |> String.concat "\n"
+  |> fun s -> if s = "" then s else s ^ "\n"

@@ -1,15 +1,16 @@
 (** Unified observability core.
 
-    One process-wide-capable (but deliberately instantiable) registry of
-    named metrics — counters, gauges and bounded log-bucketed histograms
-    ({!Ssi_util.Bhist}: O(buckets) memory, mergeable, quantile error
-    ≤ {!hist_accuracy}) — plus a
-    bounded ring buffer of structured trace events stamped with the
-    virtual clock, plus a bounded table of causal {e spans}
-    (Dapper-style: [(trace_id, span_id, parent_id)] with typed
-    attributes).  Every layer of the system (predicate locks, SSI
-    manager, heavyweight lock manager, engine, replication, workload
-    driver) reports through one of these registries instead of keeping a
+    One deliberately instantiable registry of named metrics — counters,
+    gauges and bounded log-bucketed histograms ({!Ssi_util.Bhist}:
+    O(buckets) memory, mergeable, quantile error ≤ {!hist_accuracy}) —
+    plus a bounded table of causal {e spans} (Dapper-style:
+    [(trace_id, span_id, parent_id)] with typed attributes and attached,
+    clock-stamped events).  Spans with their events, and counters, are
+    the only event mechanism: something that happens once per operation
+    is a counter, something that belongs to one transaction is an event
+    on that transaction's span, and a one-off decision or fault (a
+    crash, a wound, a markdown) is an instant span.  Every layer of the
+    system reports through one of these registries instead of keeping a
     private stats record, so tools can snapshot, diff and render the
     whole system's state uniformly.
 
@@ -23,23 +24,22 @@
     [predlock.locks.tuple], [engine.latency.read], [lockmgr.waits],
     [replica.apply_lag], [driver.txn_latency].
 
-    Truncation is never silent: [obs.trace.dropped] counts trace-ring
-    overwrites, [obs.spans.dropped] counts finished-span-table
-    overwrites, and [obs.spans.events_dropped] counts events discarded
-    because one span already carries its maximum number of attached
-    events.  All three counters exist from {!create} so they always
-    appear in {!render}. *)
+    Truncation is never silent: [obs.spans.dropped] counts
+    finished-span-table overwrites, and [obs.spans.events_dropped]
+    counts events discarded because their span already carries its
+    maximum number of events or because no span was registered for
+    their transaction.  Both counters exist from {!create} so they
+    always appear in {!render}. *)
 
 type t
 
-val create : ?trace_capacity:int -> ?span_capacity:int -> unit -> t
-(** Fresh registry.  [trace_capacity] bounds the trace ring (default
-    4096 events); [span_capacity] bounds the finished-span table
-    (default 4096 spans); older entries are overwritten, with the
-    overwrites counted (see the drop counters above). *)
+val create : ?span_capacity:int -> unit -> t
+(** Fresh registry.  [span_capacity] bounds the finished-span table
+    (default 4096 spans); older spans are overwritten, with the
+    overwrites counted in [obs.spans.dropped]. *)
 
 val set_clock : t -> (unit -> float) -> unit
-(** Install the time source used to stamp trace events and spans.  The
+(** Install the time source used to stamp spans and their events.  The
     engine points this at the simulation's virtual clock; the default
     returns [0.]. *)
 
@@ -145,34 +145,24 @@ val dump : t -> (string * value) list
 val render : t -> string
 (** Pretty table of every metric, suitable for [pg_ssi stats]. *)
 
-(** {1 Trace events}
+(** {1 Events}
 
-    Structured events in a bounded ring, stamped with the registry
-    clock.  Tracing is on by default; the ring keeps the most recent
-    [trace_capacity] events and counts overwrites in
-    [obs.trace.dropped]. *)
+    An event is attached to one span and stamped with the registry
+    clock; {!Span.event} and {!span_event_owner} record them. *)
 
 type field = I of int | F of float | S of string | B of bool
 
 type event = {
-  seq : int;  (** monotonically increasing emission index *)
+  seq : int;  (** registry-wide emission index *)
   ts : float;  (** registry clock at emission (virtual seconds) *)
-  name : string;  (** dotted event name, e.g. [txn.commit] *)
+  name : string;  (** dotted event name, e.g. [ssi.dangerous] *)
   fields : (string * field) list;
+      (** always led by [span]/[trace], the owning span's identity *)
 }
 
-val set_tracing : t -> bool -> unit
-(** Toggle the trace ring.  Spans are recorded regardless — only ring
-    emission is gated. *)
-
-val tracing : t -> bool
-
-val trace : t -> ?fields:(string * field) list -> string -> unit
-(** Emit one event (no-op while tracing is off). *)
-
 val events : t -> event list
-(** Retained events in emission order.  Because span events may bypass
-    the ring, retained [seq]s can have gaps. *)
+(** Every event attached to a retained span (finished or open), in
+    [seq] order. *)
 
 val event_to_json : event -> string
 (** One JSON object, fields flattened alongside [seq]/[ts]/[event]. *)
@@ -185,7 +175,7 @@ val json_float : float -> string
     [null]. *)
 
 val events_to_jsonl : t -> string
-(** All retained events as JSON Lines, one object per line. *)
+(** {!events} as JSON Lines, one object per line. *)
 
 (** {1 Spans}
 
@@ -194,9 +184,8 @@ val events_to_jsonl : t -> string
     optionally a [parent_id] — either a live parent span in the same
     process or a {!span_ctx} propagated from another node (e.g. inside a
     WAL commit record), which is how trace trees cross the simulated
-    network.  Spans are recorded independently of {!set_tracing};
-    finished spans land in a bounded table whose overwrites are counted
-    in [obs.spans.dropped]. *)
+    network.  Finished spans land in a bounded table whose overwrites
+    are counted in [obs.spans.dropped]. *)
 
 type span
 
@@ -224,10 +213,13 @@ module Span : sig
   val add : span -> string -> field -> unit
   (** Set an attribute (replacing any previous value for the key). *)
 
-  val event : t -> ?ring:bool -> ?fields:(string * field) list -> span -> string -> unit
+  val instant : t -> attrs:(string * field) list -> string -> unit
+  (** Start and immediately finish a root span: the record of a one-off
+      decision or fault, with its details as attributes. *)
+
+  val event : t -> ?fields:(string * field) list -> span -> string -> unit
   (** Attach an event to the span (bounded per span, overflow counted in
-      [obs.spans.events_dropped]) and, unless [~ring:false] or tracing
-      is off, also emit it to the trace ring.  The event always carries
+      [obs.spans.events_dropped]).  The event always carries
       [span]/[trace] fields identifying its owner. *)
 
   val ctx : span -> span_ctx
@@ -257,12 +249,10 @@ val set_owner_span : t -> int -> span -> unit
 val clear_owner_span : t -> int -> unit
 val owner_span : t -> int -> span option
 
-val span_event_owner :
-  t -> ?ring:bool -> ?fields:(string * field) list -> int -> string -> unit
-(** Attach an event to xid's registered span, falling back to a plain
-    ring {!trace} when no span is registered for the xid (unless
-    [~ring:false], in which case an ownerless event is dropped — it was
-    asked to stay out of the ring). *)
+val span_event_owner : t -> ?fields:(string * field) list -> int -> string -> unit
+(** Attach an event to xid's registered span.  With no span registered
+    for the xid (it already finished) the event is dropped and counted
+    in [obs.spans.events_dropped]. *)
 
 (** {2 Consuming spans} *)
 

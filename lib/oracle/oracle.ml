@@ -131,26 +131,24 @@ let txn_body rng cfg t =
   done;
   (List.rev !reads, List.rev !writes)
 
-let run_history ?tracer ~isolation cfg =
+let engine_config cfg =
+  {
+    E.default_config with
+    E.costs = sim_costs;
+    next_key_gaps = cfg.next_key_gaps;
+    certifier = cfg.certifier;
+    ssi =
+      {
+        Ssi_core.Ssi.default_config with
+        Ssi_core.Ssi.max_committed_sxacts = cfg.max_committed_sxacts;
+      };
+  }
+
+(* Run [cfg]'s workload on [db], a fresh engine on the simulation clock
+   configured by [engine_config cfg]. *)
+let run_history_on db ~isolation cfg =
   let log = ref [] in
   let order = ref 0 in
-  let config =
-    {
-      E.default_config with
-      E.costs = sim_costs;
-      next_key_gaps = cfg.next_key_gaps;
-      certifier = cfg.certifier;
-      ssi =
-        {
-          Ssi_core.Ssi.default_config with
-          Ssi_core.Ssi.max_committed_sxacts = cfg.max_committed_sxacts;
-        };
-    }
-  in
-  let db = E.create ~scheduler:Sim.scheduler ~config () in
-  (match tracer with
-  | Some f -> E.set_tracer db (Some (fun line -> f (Printf.sprintf "%.6f %s" (Sim.now ()) line)))
-  | None -> ());
   ignore
     (Sim.run (fun () ->
          E.create_table db ~name:table ~cols:[ "k"; "writer" ] ~key:"k";
@@ -178,6 +176,9 @@ let run_history ?tracer ~isolation cfg =
                done)
          done));
   { committed = List.rev !log }
+
+let run_history ~isolation cfg =
+  run_history_on (E.create ~scheduler:Sim.scheduler ~config:(engine_config cfg) ()) ~isolation cfg
 
 (* ---- Building and checking the serialization graph -------------------------- *)
 

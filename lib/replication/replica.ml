@@ -280,8 +280,8 @@ let promote t ~primary mode =
      promotion gives up are exactly those between the chosen horizon and
      the applied frontier. *)
   let discarded = max 0 (t.applied - r.horizon) in
-  Obs.trace t.rep_obs "replica.promote"
-    ~fields:
+  Obs.Span.instant t.rep_obs "replica.promote"
+    ~attrs:
       [
         ("replica", Obs.S t.rep_name);
         ("cseq", Obs.I r.horizon);

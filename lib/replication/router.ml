@@ -148,7 +148,7 @@ let set_primary t db =
   t.primary_cseq <- 0;
   Hashtbl.reset t.cseq_of_xid;
   install_primary_hook t db;
-  Obs.trace t.r_obs "fleet.set_primary" ~fields:[ ("era", Obs.I t.era) ]
+  Obs.Span.instant t.r_obs "fleet.set_primary" ~attrs:[ ("era", Obs.I t.era) ]
 
 let primary t = t.r_primary
 let replicas t = List.map (fun m -> m.m_rep) t.members
@@ -190,8 +190,8 @@ let mark_down t m =
   m.m_fails <- m.m_fails + 1;
   m.m_health <- Down (vnow () +. markdown_period t m);
   Obs.incr t.c_markdowns;
-  Obs.trace t.r_obs "fleet.markdown"
-    ~fields:[ ("replica", Obs.S (Replica.name m.m_rep)); ("fails", Obs.I m.m_fails) ];
+  Obs.Span.instant t.r_obs "fleet.markdown"
+    ~attrs:[ ("replica", Obs.S (Replica.name m.m_rep)); ("fails", Obs.I m.m_fails) ];
   update_healthy_gauge t
 
 let mark_success t m =
@@ -199,8 +199,8 @@ let mark_success t m =
   | Healthy -> ()
   | Probation | Down _ ->
       Obs.incr t.c_readmits;
-      Obs.trace t.r_obs "fleet.readmit"
-        ~fields:[ ("replica", Obs.S (Replica.name m.m_rep)) ]);
+      Obs.Span.instant t.r_obs "fleet.readmit"
+        ~attrs:[ ("replica", Obs.S (Replica.name m.m_rep)) ]);
   m.m_health <- Healthy;
   m.m_fails <- 0;
   update_healthy_gauge t
@@ -243,8 +243,8 @@ let eligible t ~consistency ~tried m =
          if vnow () >= until then begin
            m.m_health <- Probation;
            Obs.incr t.c_probes;
-           Obs.trace t.r_obs "fleet.probe"
-             ~fields:[ ("replica", Obs.S (Replica.name m.m_rep)) ];
+           Obs.Span.instant t.r_obs "fleet.probe"
+             ~attrs:[ ("replica", Obs.S (Replica.name m.m_rep)) ];
            true
          end
          else false)
@@ -285,8 +285,8 @@ let replica_attempt t m ~consistency ~required ~route_span f =
         | exception (E.Transient_fault _ as e) ->
             Obs.observe t.h_session_wait (Sim.now () -. before);
             Obs.incr t.c_session_deadline_misses;
-            Obs.trace t.r_obs "fleet.session_deadline_miss"
-              ~fields:
+            Obs.Span.instant t.r_obs "fleet.session_deadline_miss"
+              ~attrs:
                 [
                   ("replica", Obs.S (Replica.name rep));
                   ("target", Obs.I need);

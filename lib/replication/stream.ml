@@ -113,8 +113,8 @@ let retransmit p ~dst ~after =
 let depose p =
   if not p.p_deposed then begin
     p.p_deposed <- true;
-    Obs.trace (E.obs p.p_engine) "stream.deposed"
-      ~fields:[ ("node", Obs.S p.p_node); ("epoch", Obs.I p.p_epoch) ];
+    Obs.Span.instant (E.obs p.p_engine) "stream.deposed"
+      ~attrs:[ ("node", Obs.S p.p_node); ("epoch", Obs.I p.p_epoch) ];
     (* Never leave quorum waiters suspended on a fenced primary. *)
     Waitq.wake_all p.p_acks
   end
@@ -175,8 +175,8 @@ let quorum_wait p q (record : E.commit_record) =
         (* Degrade to asynchronous: the commit is locally durable and
            stands; blocking forever behind a partition would be worse. *)
         Obs.incr p.c_quorum_timeouts;
-        Obs.trace (E.obs p.p_engine) "stream.quorum_timeout"
-          ~fields:[ ("cseq", Obs.I cseq); ("acks", Obs.I (acks ())); ("need", Obs.I q.k) ]
+        Obs.Span.instant (E.obs p.p_engine) "stream.quorum_timeout"
+          ~attrs:[ ("cseq", Obs.I cseq); ("acks", Obs.I (acks ())); ("need", Obs.I q.k) ]
       end
     end
   end
@@ -291,8 +291,8 @@ let adopt s ~src ~epoch =
   Hashtbl.reset s.s_ooo;
   s.s_nack_inflight <- false;
   s.s_retries_left <- s.s_nack_retries;
-  Obs.trace (Replica.obs s.s_core) "stream.resync"
-    ~fields:[ ("node", Obs.S s.s_node); ("epoch", Obs.I epoch) ];
+  Obs.Span.instant (Replica.obs s.s_core) "stream.resync"
+    ~attrs:[ ("node", Obs.S s.s_node); ("epoch", Obs.I epoch) ];
   sub_send s (Subscribe { epoch; from_cseq = -1 })
 
 let accept s (record : E.commit_record) =

@@ -360,8 +360,8 @@ let guarded g s f =
       if g.g_opseq = seq && g.g_inflight = Some s && not g.g_finished then begin
         g.g_wounded <- true;
         Obs.incr t.c_wounds;
-        Obs.trace t.sobs "shard.wound"
-          ~fields:[ ("gxid", Obs.I g.g_xid); ("stuck_on", Obs.I s) ];
+        Obs.Span.instant t.sobs "shard.wound"
+          ~attrs:[ ("gxid", Obs.I g.g_xid); ("stuck_on", Obs.I s) ];
         List.iter
           (fun (s', b) -> if s' <> s then try E.abort b with _ -> ())
           g.g_branches
@@ -503,7 +503,7 @@ let two_phase g parts =
         match cross_pivot pd.pd_summaries with
         | Some (a, b) ->
             Obs.incr t.c_cross_aborts;
-            Obs.trace t.sobs "shard.cross_abort"
+            Obs.Span.event t.sobs span "shard.cross_abort"
               ~fields:
                 [
                   ("gxid", Obs.I g.g_xid);
@@ -546,7 +546,7 @@ let two_phase g parts =
             in
             if (sm.sm_in && not (fst before)) || (sm.sm_out && not (snd before)) then begin
               Obs.incr t.c_window_edges;
-              Obs.trace t.sobs "shard.window_edge"
+              Obs.Span.event t.sobs span "shard.window_edge"
                 ~fields:[ ("gxid", Obs.I g.g_xid); ("shard", Obs.I s) ]
             end)
           pd.pd_commit_summaries;
@@ -638,15 +638,15 @@ let resolve_indoubt t =
           | Some (`Commit _) ->
               E.commit_prepared e ~gid;
               Obs.incr t.c_indoubt_commits;
-              Obs.trace t.sobs "shard.indoubt"
-                ~fields:[ ("gid", Obs.S gid); ("shard", Obs.I s); ("outcome", Obs.S "commit") ]
+              Obs.Span.instant t.sobs "shard.indoubt"
+                ~attrs:[ ("gid", Obs.S gid); ("shard", Obs.I s); ("outcome", Obs.S "commit") ]
           | Some `Abort | None ->
               (* Presumed abort: no logged commit decision means the
                  coordinator never reached one. *)
               E.rollback_prepared e ~gid;
               Obs.incr t.c_indoubt_aborts;
-              Obs.trace t.sobs "shard.indoubt"
-                ~fields:[ ("gid", Obs.S gid); ("shard", Obs.I s); ("outcome", Obs.S "abort") ])
+              Obs.Span.instant t.sobs "shard.indoubt"
+                ~attrs:[ ("gid", Obs.S gid); ("shard", Obs.I s); ("outcome", Obs.S "abort") ])
         gids)
     t.engines;
   List.rev !touched

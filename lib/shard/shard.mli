@@ -35,8 +35,8 @@
       the {e edge-former} give way, exactly as after crash recovery;
     - commit-acks piggyback a second summary, so edges that appeared
       during the window are visible post-hoc ([shard.window_edges] and
-      the [shard.decision] trace — the raw material for reconstructing a
-      cross-shard T1 -> T2 -> T3 with [pg_ssi explain]).
+      the [shard.window_edge] events on the [shard.twopc] span — the raw
+      material for reconstructing a cross-shard T1 -> T2 -> T3).
 
     The coordinator's commit-decision sequence ("commit timestamp") is a
     linear extension of every shard's per-key write order, so it is the

@@ -205,7 +205,7 @@ let run ~setup ~specs bench =
       let db =
         match bench.trace_capacity with
         | Some n ->
-            let obs = Obs.create ~trace_capacity:n ~span_capacity:n () in
+            let obs = Obs.create ~span_capacity:n () in
             E.create ~scheduler:Sim.scheduler ~config ~obs ()
         | None -> E.create ~scheduler:Sim.scheduler ~config ()
       in

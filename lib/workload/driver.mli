@@ -56,12 +56,12 @@ type bench = {
           simulation — the place to attach a replica, install a fault
           injector, and [Sim.spawn] a {!Ssi_fault.Fault.execute} process *)
   trace_capacity : int option;
-      (** when set, size both the trace ring and the finished-span table of
-          the engine's registry to this many entries (default registry
-          sizes otherwise).  Trace exports and the abort explainer need
-          capacities well above the workload's event volume, or parents
-          and conflict evidence fall out of the bounded tables (the
-          [obs.*.dropped] counters say when that happened). *)
+      (** when set, size the finished-span table of the engine's registry
+          to this many spans (the registry default otherwise).  Trace
+          exports and the abort explainer need a capacity well above the
+          workload's span volume, or parents and conflict evidence fall
+          out of the bounded table ([obs.spans.dropped] says when that
+          happened). *)
   fleet : (E.t -> Ssi_replication.Router.t) option;
       (** called on the fresh engine after [chaos] and before [setup]
           (so attach-mode replicas see the setup WAL): build the read

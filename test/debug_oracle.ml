@@ -1,9 +1,11 @@
-(* Developer tool: replay one oracle seed with engine/lock tracing on
-   stderr and print any serialization-graph cycle found.
+(* Developer tool: replay one oracle seed, write the run's spans (every
+   transaction, operation and lock wait, with their attached events) to
+   stderr as Chrome trace-event JSON, and print any serialization-graph
+   cycle found.
 
-     dune exec test/debug_oracle.exe -- <seed> [ssi]    (default: S2PL)   *)
+     dune exec test/debug_oracle.exe -- <seed> [ssi] 2> trace.json   (default: S2PL) *)
 
-open Test_oracle
+open Ssi_oracle
 module E = Ssi_engine.Engine
 
 let () =
@@ -13,7 +15,9 @@ let () =
     else E.Serializable_2pl
   in
   let cfg = { Oracle.default_cfg with Oracle.seed } in
-  let h = Oracle.run_history ~tracer:prerr_endline ~isolation:iso cfg in
-  (match Oracle.check_serializable h with
+  let db = E.create ~scheduler:Ssi_sim.Sim.scheduler ~config:(Oracle.engine_config cfg) () in
+  let h = Oracle.run_history_on db ~isolation:iso cfg in
+  prerr_string (Ssi_obs.Obs.Spans.to_chrome_json (E.obs db));
+  match Oracle.check_serializable h with
   | Ok () -> print_endline "serializable (no repro)"
-  | Error cycle -> print_string (Oracle.pp_cycle h cycle))
+  | Error cycle -> print_string (Oracle.pp_cycle h cycle)

@@ -13,7 +13,7 @@
      cleanly rejected by the watermark certifiers. *)
 
 open Ssi_storage
-open Test_oracle
+open Ssi_oracle
 module E = Ssi_engine.Engine
 module Certifier = Ssi_core.Certifier
 module T = Ssi_fault.Torture

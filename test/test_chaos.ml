@@ -18,7 +18,7 @@
    committed history, and the final state must replay identically. *)
 
 open Ssi_storage
-open Test_oracle
+open Ssi_oracle
 module E = Ssi_engine.Engine
 module Sim = Ssi_sim.Sim
 module F = Ssi_fault.Fault

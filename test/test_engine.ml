@@ -361,14 +361,6 @@ let test_finished_txn_rejected () =
     (Invalid_argument "Engine: transaction already finished") (fun () -> ignore (get t 1));
   E.abort t (* idempotent *)
 
-let test_tracer () =
-  let db = fresh () in
-  let lines = ref [] in
-  E.set_tracer db (Some (fun l -> lines := l :: !lines));
-  E.with_txn db (fun t -> put t 1 "x");
-  Alcotest.(check bool) "traced" true (List.exists (fun l -> String.length l > 0) !lines);
-  E.set_tracer db None
-
 let () =
   Alcotest.run "engine"
     [
@@ -410,6 +402,5 @@ let () =
           Alcotest.test_case "retry gives up" `Quick test_retry_gives_up;
           Alcotest.test_case "read-only enforced" `Quick test_read_only_rejects_writes;
           Alcotest.test_case "finished rejected" `Quick test_finished_txn_rejected;
-          Alcotest.test_case "tracer" `Quick test_tracer;
         ] );
     ]

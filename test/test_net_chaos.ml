@@ -24,7 +24,7 @@ module Obs = Ssi_obs.Obs
 module Sim = Ssi_sim.Sim
 module F = Ssi_fault.Fault
 module Rng = Ssi_util.Rng
-module Oracle = Test_oracle.Oracle
+module Oracle = Ssi_oracle.Oracle
 
 let vi i = Value.Int i
 let table = "kv"

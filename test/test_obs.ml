@@ -1,12 +1,12 @@
 (* The observability core: metric registry semantics (counters, gauges,
-   histograms, kind safety), window snapshots/deltas, the bounded trace
-   ring and its JSONL rendering, nearest-rank percentiles, and the
+   histograms, kind safety), window snapshots/deltas, span events and
+   their JSONL rendering, nearest-rank percentiles, and the
    end-to-end summarization counter — shrinking the committed-sxact
    budget mid-run must drive [ssi.summarized] up without costing
    serializability. *)
 
 open Ssi_storage
-open Test_oracle
+open Ssi_oracle
 module Obs = Ssi_obs.Obs
 module Scrape = Ssi_obs.Scrape
 module Watchdog = Ssi_obs.Watchdog
@@ -68,16 +68,9 @@ let test_dump_sorted () =
   Obs.set_gauge (Obs.gauge obs "a.gauge") 1.0;
   Obs.observe (Obs.histogram obs "c.hist") 0.5;
   let names = List.map fst (Obs.dump obs) in
-  (* The three drop counters exist from birth alongside user metrics. *)
+  (* The two drop counters exist from birth alongside user metrics. *)
   Alcotest.(check (list string)) "name-sorted"
-    [
-      "a.gauge";
-      "b.count";
-      "c.hist";
-      "obs.spans.dropped";
-      "obs.spans.events_dropped";
-      "obs.trace.dropped";
-    ]
+    [ "a.gauge"; "b.count"; "c.hist"; "obs.spans.dropped"; "obs.spans.events_dropped" ]
     names;
   (* The rendered table mentions every metric. *)
   let table = Obs.render obs in
@@ -115,22 +108,22 @@ let test_snap_deltas () =
     (Bhist.count (Obs.delta_hist obs base "never.h"))
 
 (* Histogram sketches accumulate bucket counts independently of the
-   trace ring, so window deltas must stay exact (in count and sum) even
-   when the ring wraps many times inside the window.  This is the
-   contract that lets [pg_ssi workload] report per-window latency
-   percentiles without caring about ring capacity. *)
+   bounded span table, so window deltas must stay exact (in count and
+   sum) even when the table wraps many times inside the window.  This is
+   the contract that lets [pg_ssi workload] report per-window latency
+   percentiles without caring about span capacity. *)
 let test_delta_hist_across_ring_wrap () =
-  let obs = Obs.create ~trace_capacity:8 () in
+  let obs = Obs.create ~span_capacity:8 () in
   let h = Obs.histogram obs "lat" in
   Obs.observe h 0.5;
   let base = Obs.snap obs in
-  (* 100 trace events through an 8-slot ring: 92 overwrites. *)
+  (* 100 finished spans through an 8-slot table: 92 overwrites. *)
   for i = 1 to 100 do
-    Obs.trace obs ~fields:[ ("i", Obs.I i) ] "tick";
+    Obs.Span.instant obs ~attrs:[ ("i", Obs.I i) ] "tick";
     if i mod 10 = 0 then Obs.observe h (float_of_int i)
   done;
-  Alcotest.(check int) "ring wrapped" 92 (Obs.get_counter obs "obs.trace.dropped");
-  Alcotest.(check int) "ring holds only capacity" 8 (List.length (Obs.events obs));
+  Alcotest.(check int) "table wrapped" 92 (Obs.get_counter obs "obs.spans.dropped");
+  Alcotest.(check int) "table holds only capacity" 8 (List.length (Obs.Spans.finished obs));
   let dh = Obs.delta_hist obs base "lat" in
   Alcotest.(check int) "window count exact despite the wrap" 10 (Bhist.count dh);
   Alcotest.(check (float 1e-9)) "window sum exact" 550. (Bhist.total dh);
@@ -144,44 +137,33 @@ let test_delta_hist_across_ring_wrap () =
   Alcotest.(check int) "nested window count" 1 (Bhist.count nested);
   Alcotest.(check (float 1e-9)) "nested window sum" 7.0 (Bhist.total nested)
 
-(* ---- Trace ring ----------------------------------------------------------- *)
+(* ---- Span events ----------------------------------------------------------- *)
 
-let test_trace_ring_bounds () =
-  let obs = Obs.create ~trace_capacity:4 () in
-  for i = 1 to 10 do
-    Obs.trace obs ~fields:[ ("i", Obs.I i) ] "tick"
-  done;
-  let evs = Obs.events obs in
-  Alcotest.(check int) "ring keeps the newest capacity events" 4 (List.length evs);
-  Alcotest.(check (list int)) "oldest first" [ 6; 7; 8; 9 ]
-    (List.map (fun e -> e.Obs.seq) evs);
-  let is = List.map (fun e -> List.assoc "i" e.Obs.fields) evs in
-  Alcotest.(check bool) "payload survives" true (is = [ Obs.I 7; I 8; I 9; I 10 ])
-
-let test_trace_clock_and_toggle () =
+let test_trace_clock () =
   let obs = Obs.create () in
   let now = ref 1.5 in
   Obs.set_clock obs (fun () -> !now);
-  Obs.trace obs "a";
+  let sp = Obs.Span.start obs "txn" in
+  Obs.Span.event obs sp "a";
   now := 2.5;
-  Obs.set_tracing obs false;
-  Obs.trace obs "dropped";
-  Obs.set_tracing obs true;
-  Obs.trace obs "b";
+  Obs.Span.event obs sp "b";
   match Obs.events obs with
   | [ a; b ] ->
       Alcotest.(check string) "first" "a" a.Obs.name;
       Alcotest.(check (float 0.)) "stamped" 1.5 a.Obs.ts;
-      Alcotest.(check string) "second (toggle dropped one)" "b" b.Obs.name;
+      Alcotest.(check string) "second" "b" b.Obs.name;
       Alcotest.(check (float 0.)) "restamped" 2.5 b.Obs.ts
   | evs -> Alcotest.failf "expected 2 events, got %d" (List.length evs)
 
 let test_trace_jsonl () =
   let obs = Obs.create () in
-  Obs.trace obs
+  let sp1 = Obs.Span.start obs "txn" and sp2 = Obs.Span.start obs "replica" in
+  Obs.Span.event obs
     ~fields:[ ("xid", Obs.I 7); ("why", Obs.S "pivot \"x\""); ("ro", Obs.B true) ]
-    "ssi.fail";
-  Obs.trace obs ~fields:[ ("lag", Obs.F 0.25) ] "replica.lag";
+    sp1 "ssi.fail";
+  Obs.Span.event obs ~fields:[ ("lag", Obs.F 0.25) ] sp2 "replica.lag";
+  (* Events of finished and open spans alike, in emission order. *)
+  Obs.Span.finish obs sp2;
   let jsonl = Obs.events_to_jsonl obs in
   let lines = String.split_on_char '\n' (String.trim jsonl) in
   Alcotest.(check int) "one object per event" 2 (List.length lines);
@@ -189,7 +171,15 @@ let test_trace_jsonl () =
   List.iter
     (fun needle ->
       Alcotest.(check bool) (needle ^ " present") true (contains ~needle l1))
-    [ {|"event":"ssi.fail"|}; {|"xid":7|}; {|"why":"pivot \"x\""|}; {|"ro":true|}; {|"seq":0|} ];
+    [
+      {|"event":"ssi.fail"|};
+      {|"xid":7|};
+      {|"why":"pivot \"x\""|};
+      {|"ro":true|};
+      {|"seq":0|};
+      {|"span":0|};
+      {|"trace":0|};
+    ];
   Alcotest.(check bool) "float field" true
     (contains ~needle:{|"lag":0.25|} (List.nth lines 1))
 
@@ -236,11 +226,11 @@ let test_percentile_nearest () =
 (* ---- Drop accounting and the never-set-gauge contract ---------------------- *)
 
 let test_drop_counters () =
-  let obs = Obs.create ~trace_capacity:4 ~span_capacity:2 () in
-  (* All three drop counters exist (and render) from birth. *)
+  let obs = Obs.create ~span_capacity:2 () in
+  (* Both drop counters exist (and render) from birth. *)
   List.iter
     (fun n -> Alcotest.(check int) (n ^ " starts at 0") 0 (Obs.get_counter obs n))
-    [ "obs.trace.dropped"; "obs.spans.dropped"; "obs.spans.events_dropped" ];
+    [ "obs.spans.dropped"; "obs.spans.events_dropped" ];
   (* Span-table overwrites: 5 finished spans through 2 slots. *)
   for i = 1 to 5 do
     let sp = Obs.Span.start obs (Printf.sprintf "s%d" i) in
@@ -253,17 +243,24 @@ let test_drop_counters () =
   (* Per-span event bound: the 65th+ attachments are dropped and counted. *)
   let sp = Obs.Span.start obs "busy" in
   for i = 1 to 70 do
-    Obs.Span.event obs ~ring:false ~fields:[ ("i", Obs.I i) ] sp "e"
+    Obs.Span.event obs ~fields:[ ("i", Obs.I i) ] sp "e"
   done;
   Alcotest.(check int) "span keeps its cap" 64 (List.length (Obs.Span.events sp));
   Alcotest.(check int) "event drops counted" 6
     (Obs.get_counter obs "obs.spans.events_dropped");
   Obs.Span.finish obs sp;
-  (* And the rendered table names all three, so truncation is visible. *)
+  (* An event for a transaction with no registered span is dropped and
+     counted too. *)
+  Obs.span_event_owner obs 42 "orphan";
+  Alcotest.(check int) "ownerless event counted" 7
+    (Obs.get_counter obs "obs.spans.events_dropped");
+  Alcotest.(check bool) "ownerless event not retained" false
+    (List.exists (fun e -> e.Obs.name = "orphan") (Obs.events obs));
+  (* And the rendered table names both, so truncation is visible. *)
   let table = Obs.render obs in
   List.iter
     (fun n -> Alcotest.(check bool) (n ^ " rendered") true (contains ~needle:n table))
-    [ "obs.trace.dropped"; "obs.spans.dropped"; "obs.spans.events_dropped" ]
+    [ "obs.spans.dropped"; "obs.spans.events_dropped" ]
 
 let test_never_set_gauge_skipped () =
   let obs = Obs.create () in
@@ -664,8 +661,7 @@ let () =
         ] );
       ( "trace",
         [
-          Alcotest.test_case "ring bounds" `Quick test_trace_ring_bounds;
-          Alcotest.test_case "clock and toggle" `Quick test_trace_clock_and_toggle;
+          Alcotest.test_case "clock stamping" `Quick test_trace_clock;
           Alcotest.test_case "jsonl" `Quick test_trace_jsonl;
         ] );
       ( "percentiles",

@@ -24,7 +24,7 @@ open Ssi_storage
 open Ssi_workload
 module E = Ssi_engine.Engine
 module P = Ssi_core.Predlock
-open Test_oracle
+open Ssi_oracle
 
 let vi i = Value.Int i
 

@@ -157,7 +157,7 @@ let test_replica_safe_snapshot_serializable () =
    whose order matters — the pseudo transaction closes a cycle in the
    serialization graph.  A `Latest_safe read never can. *)
 let oracle_lag_scenario () =
-  let open Test_oracle in
+  let open Ssi_oracle in
   let db = E.create () in
   E.create_table db ~name:"kv" ~cols:[ "k"; "writer" ] ~key:"k";
   let replica = R.attach db in
@@ -193,7 +193,7 @@ let oracle_lag_scenario () =
   (replica, committed)
 
 let replica_pseudo_txn replica mode ~order =
-  let open Test_oracle in
+  let open Ssi_oracle in
   let rt = R.begin_read replica mode in
   let version k =
     match R.read rt ~table:"kv" ~key:(vi k) with
@@ -203,7 +203,7 @@ let replica_pseudo_txn replica mode ~order =
   { Oracle.xid = 999; reads = [ (0, version 0); (1, version 1) ]; writes = []; order }
 
 let test_oracle_cycle_at_latest_applied () =
-  let open Test_oracle in
+  let open Ssi_oracle in
   let replica, committed = oracle_lag_scenario () in
   (* The lagged read sees T3's write but not T2's: T2 -> T3 -> RT -> T2. *)
   let history = { Oracle.committed = committed @ [ replica_pseudo_txn replica `Latest_applied ~order:3 ] } in
@@ -212,7 +212,7 @@ let test_oracle_cycle_at_latest_applied () =
   | Ok () -> Alcotest.fail "expected a DSG cycle reading `Latest_applied under lag"
 
 let test_oracle_acyclic_at_latest_safe () =
-  let open Test_oracle in
+  let open Ssi_oracle in
   let replica, committed = oracle_lag_scenario () in
   (* Before the lag drains: the safe snapshot still predates T3. *)
   let h1 = { Oracle.committed = committed @ [ replica_pseudo_txn replica `Latest_safe ~order:3 ] } in

@@ -1,4 +1,4 @@
-open Test_oracle
+open Ssi_oracle
 (* Random-history serializability checking (see oracle.ml).
 
    - SSI histories must always be serializable (the paper's core claim);

@@ -6,7 +6,7 @@
 module E = Ssi_engine.Engine
 module Shard = Ssi_shard.Shard
 module Sharded = Ssi_harness.Sharded
-module Oracle = Test_oracle.Oracle
+module Oracle = Ssi_oracle.Oracle
 module Sim = Ssi_sim.Sim
 module Value = Ssi_storage.Value
 module Driver = Ssi_workload.Driver

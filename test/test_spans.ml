@@ -8,8 +8,9 @@
      ids and the rule that fired;
    - at least one [replica.apply] span is parented, across the simulated
      network, under the origin [txn.commit] span of the same trace;
-   - every retained span's parent resolves (nothing silently truncated:
-     the drop counters are zero at the chosen capacities);
+   - every retained span's parent resolves, and nothing was truncated:
+     the drop counters are zero at the chosen capacity, so the spans are
+     the complete evidence;
    - the Chrome trace export and the explain report replay byte-identically
      from the seed. *)
 
@@ -37,7 +38,7 @@ type scenario = {
   rw_edges : int;
   explain_report : string;
   chrome : string;
-  trace_dropped : int;
+  events_dropped : int;
   spans_dropped : int;
   unresolved_parents : int;
   apply_spans : int;
@@ -70,7 +71,7 @@ let txn_body rng t =
 let run_scenario seed =
   (* Capacities far above the run's volume and summarization disabled, so
      completeness of the reconstruction is actually testable. *)
-  let obs = Obs.create ~trace_capacity:65536 ~span_capacity:65536 () in
+  let obs = Obs.create ~span_capacity:65536 () in
   let ssi_cfg =
     { Ssi.default_config with Ssi.max_committed_sxacts = 1_000_000 }
   in
@@ -160,7 +161,7 @@ let run_scenario seed =
     rw_edges = List.length (Explain.edges obs);
     explain_report = Explain.render obs;
     chrome = Obs.Spans.to_chrome_json obs;
-    trace_dropped = Obs.get_counter obs "obs.trace.dropped";
+    events_dropped = Obs.get_counter obs "obs.spans.events_dropped";
     spans_dropped = Obs.Spans.dropped obs;
     unresolved_parents;
     apply_spans = List.length applies;
@@ -174,7 +175,7 @@ let test_explainer_complete () =
   Alcotest.(check bool) "workload committed transactions" true (r.committed > 0);
   Alcotest.(check bool) "SSI produced victims" true (r.doomed <> []);
   Alcotest.(check bool) "rw-edges were recorded" true (r.rw_edges > 0);
-  Alcotest.(check int) "no trace events dropped" 0 r.trace_dropped;
+  Alcotest.(check int) "no span events dropped" 0 r.events_dropped;
   Alcotest.(check int) "no spans dropped" 0 r.spans_dropped;
   (* Every doomed victim must be explainable by a complete structure:
      both rw-edges with known transaction ids, and the firing rule. *)
@@ -216,6 +217,58 @@ let test_deterministic_replay () =
   Alcotest.(check int) "commit count replays" a.committed b.committed;
   Alcotest.(check int) "failure count replays" a.failures b.failures
 
+(* A victim that read many rows must keep its own conflict evidence: its
+   span holds well over 64 SIREAD locks' worth of reads, and the
+   [ssi.rw_edge]/[ssi.dangerous] events recorded when it becomes the
+   pivot of a write skew must still fit on that span. *)
+let test_victim_keeps_evidence () =
+  let rows = 100 in
+  let ssi_cfg =
+    {
+      Ssi.default_config with
+      Ssi.predlock =
+        {
+          Ssi_core.Predlock.max_tuple_locks_per_page = 1000;
+          max_page_locks_per_relation = 1000;
+          max_page_locks_per_index = 1000;
+        };
+    }
+  in
+  let db = E.create ~config:{ E.default_config with E.ssi = ssi_cfg } () in
+  let obs = E.obs db in
+  E.create_table db ~name:table ~cols:[ "k"; "v" ] ~key:"k";
+  E.with_txn db (fun t ->
+      for k = 0 to rows - 1 do
+        E.insert t ~table [| vi k; vi 0 |]
+      done);
+  let span = Obs.Span.start obs "client" in
+  let t1 = E.begin_txn ~span db in
+  let t2 = E.begin_txn db in
+  let locks () = Obs.get_counter obs "predlock.locks.tuple" in
+  let before = locks () in
+  for k = 0 to rows - 1 do
+    ignore (E.read t1 ~table ~key:(vi k))
+  done;
+  Alcotest.(check bool) "the victim took more than 64 SIREAD locks" true
+    (locks () - before > 64);
+  (* Write skew: t2 reads key 1, which t1 then overwrites; t2 closes the
+     cycle by overwriting key 0, which t1 read, and t1 is the victim. *)
+  ignore (E.read t2 ~table ~key:(vi 1));
+  ignore (E.update t1 ~table ~key:(vi 1) ~f:(fun row -> [| row.(0); vi 1 |]));
+  let victim = E.xid t1 in
+  (try
+     ignore (E.update t2 ~table ~key:(vi 0) ~f:(fun row -> [| row.(0); vi 1 |]));
+     E.commit t2
+   with E.Serialization_failure _ -> ());
+  (try E.commit t1 with E.Serialization_failure _ -> ());
+  let names = List.map (fun e -> e.Obs.name) (Obs.Span.events span) in
+  Alcotest.(check bool) "its span keeps ssi.rw_edge" true (List.mem "ssi.rw_edge" names);
+  Alcotest.(check bool) "its span keeps ssi.dangerous" true (List.mem "ssi.dangerous" names);
+  match List.filter (fun s -> s.Explain.victim = victim) (Explain.structures obs) with
+  | [] -> Alcotest.failf "victim x%d: no dangerous structure retained" victim
+  | ss ->
+      Alcotest.(check bool) "the structure is complete" true (List.exists Explain.complete ss)
+
 let () =
   Alcotest.run "spans"
     [
@@ -224,5 +277,7 @@ let () =
           Alcotest.test_case "explainer completeness" `Quick test_explainer_complete;
           Alcotest.test_case "cross-node span tree" `Quick test_cross_node_spans;
           Alcotest.test_case "deterministic replay" `Quick test_deterministic_replay;
+          Alcotest.test_case "victim keeps its evidence past 64 locks" `Quick
+            test_victim_keeps_evidence;
         ] );
     ]

@@ -14,7 +14,7 @@
      (checked by the DSG oracle);
    - everything replays identically from the same seed. *)
 
-open Test_oracle
+open Ssi_oracle
 module T = Ssi_fault.Torture
 
 let history_of (o : T.outcome) =
