@@ -11,16 +11,20 @@
                                              time-series table and fired alerts
      pg_ssi trace <sibench|tpcc|rubis>    -- run, then dump trace events as JSONL
      pg_ssi explain <sibench|tpcc|rubis>  -- run, then explain every certifier abort
-     pg_ssi chaos [--kill-points N]       -- seeded fault plan, or recovery torture
-     pg_ssi chaos --shards N              -- cross-shard 2PC chaos + spliced-DSG oracle
+     pg_ssi chaos plan                    -- workload under a seeded fault plan
+     pg_ssi chaos fleet                   -- replica read router under faults + oracle
+     pg_ssi chaos shards                  -- cross-shard 2PC chaos + spliced-DSG oracle
+     pg_ssi chaos torture                 -- kill-point recovery torture sweep
      pg_ssi recover <FILE>                -- cold-start from a durable-log image
      pg_ssi sql [-f FILE]                 -- SQL shell on a fresh in-memory database
 
    Every workload-running subcommand (workload, stats, trace, explain,
-   chaos) also takes --certifier <ssi|ssn|essn> to pick the
-   serializability certifier the serializable modes run under: the
-   paper's SSI (default), the Serial Safety Net's exclusion-window test,
-   or its extended read-only refinement.
+   chaos plan, chaos torture) also takes --certifier <ssi|ssn|essn> to
+   pick the serializability certifier the serializable modes run under:
+   the paper's SSI (default), the Serial Safety Net's exclusion-window
+   test, or its extended read-only refinement.  Every chaos subcommand
+   runs its scenario twice and exits non-zero unless the scenario's
+   checks held and the replay was byte-identical.
 
    The bench subcommand prints the same tables as bench/main.exe; the
    workload subcommand runs a single configuration and reports its
@@ -121,25 +125,16 @@ let run_bench name quick =
 
 (* ---- workload ------------------------------------------------------------ *)
 
-let mode_of_string = function
-  | "si" -> Driver.SI
-  | "ssi" -> Driver.SSI
-  | "ssi-noro" -> Driver.SSI_no_ro_opt
-  | "s2pl" -> Driver.S2PL
-  | other -> invalid_arg ("unknown mode " ^ other)
-
 module Certifier = Ssi_core.Certifier
 
-let certifier_of_string s =
-  match Certifier.kind_of_string s with
-  | Some k -> k
-  | None -> invalid_arg ("unknown certifier " ^ s ^ " (expected ssi, ssn or essn)")
+let workloads =
+  [
+    ("sibench", fun () -> (Sibench.setup ~rows:100, Sibench.specs ~rows:100 ()));
+    ("tpcc", fun () -> (Tpcc.setup ~warehouses:5, Tpcc.specs ~warehouses:5 ~ro_fraction:0.08));
+    ("rubis", fun () -> (Rubis.setup ~users:200 ~items:220, Rubis.specs ~users:200 ~items:220));
+  ]
 
-let workload_config = function
-  | "sibench" -> (Sibench.setup ~rows:100, Sibench.specs ~rows:100 ())
-  | "tpcc" -> (Tpcc.setup ~warehouses:5, Tpcc.specs ~warehouses:5 ~ro_fraction:0.08)
-  | "rubis" -> (Rubis.setup ~users:200 ~items:220, Rubis.specs ~users:200 ~items:220)
-  | other -> invalid_arg ("unknown workload " ^ other)
+let workload_config name = List.assoc name workloads ()
 
 let print_summary name mode certifier workers duration (r : Driver.result) =
   let lat x = if Float.is_finite x then Printf.sprintf "%.6f" x else "-" in
@@ -160,9 +155,7 @@ let print_summary name mode certifier workers duration (r : Driver.result) =
   end;
   Format.printf "  cpu busy     %.0f%%@." (100. *. r.Driver.cpu_busy)
 
-let run_workload name mode_str cert_str workers duration seed =
-  let mode = mode_of_string mode_str in
-  let certifier = certifier_of_string cert_str in
+let run_workload name mode certifier workers duration seed =
   let bench =
     {
       Driver.default_bench with
@@ -204,9 +197,7 @@ let monitor_metrics =
     "fleet.markdowns";
   ]
 
-let run_observed ?trace_capacity name mode_str cert_str workers duration seed k =
-  let mode = mode_of_string mode_str in
-  let certifier = certifier_of_string cert_str in
+let run_observed ?trace_capacity name mode certifier workers duration seed k =
   let eng = ref None in
   let bench =
     {
@@ -233,13 +224,11 @@ let run_observed ?trace_capacity name mode_str cert_str workers duration seed k 
    times across the run (warmup included: the scraper sees the whole
    horizon; the driver summary still discards warmup) and a watchdog on
    the default rule catalog. *)
-let run_windowed name mode_str cert_str workers duration seed ~windows k =
+let run_windowed name mode certifier workers duration seed ~windows k =
   let windows = max 1 windows in
   let horizon = duration +. (duration /. 5.) in
   let scr = ref None in
   let wd = ref None in
-  let mode = mode_of_string mode_str in
-  let certifier = certifier_of_string cert_str in
   let eng = ref None in
   let chaos db =
     eng := Some db;
@@ -268,22 +257,20 @@ let run_windowed name mode_str cert_str workers duration seed ~windows k =
       prerr_endline "internal error: engine was not captured";
       1
 
-let run_stats name mode_str cert_str workers duration seed format window =
+let run_stats name mode certifier workers duration seed format window =
   match format with
   | "text" when window = None ->
       (* No scraper at all: byte-identical to the historical output. *)
-      run_observed name mode_str cert_str workers duration seed (fun db r ->
-          print_summary name (mode_of_string mode_str) (certifier_of_string cert_str)
-            workers duration r;
+      run_observed name mode certifier workers duration seed (fun db r ->
+          print_summary name mode certifier workers duration r;
           Format.printf "@.";
           print_string (Ssi_obs.Obs.render (E.obs db));
           0)
   | "text" ->
       let windows = Option.value window ~default:8 in
-      run_windowed name mode_str cert_str workers duration seed ~windows
+      run_windowed name mode certifier workers duration seed ~windows
         (fun db s _wd r ->
-          print_summary name (mode_of_string mode_str) (certifier_of_string cert_str)
-            workers duration r;
+          print_summary name mode certifier workers duration r;
           Format.printf "@.";
           print_string (Ssi_obs.Obs.render (E.obs db));
           Format.printf "@.";
@@ -293,7 +280,7 @@ let run_stats name mode_str cert_str workers duration seed format window =
   | "prom" ->
       (* Cumulative exposition needs no scraper, so the registry stays
          exactly what the run produced. *)
-      run_observed name mode_str cert_str workers duration seed (fun db _r ->
+      run_observed name mode certifier workers duration seed (fun db _r ->
           let text = Scrape.openmetrics (E.obs db) in
           (match Scrape.validate_openmetrics text with
           | Ok _ -> ()
@@ -303,7 +290,7 @@ let run_stats name mode_str cert_str workers duration seed format window =
           0)
   | "json" ->
       let windows = Option.value window ~default:8 in
-      run_windowed name mode_str cert_str workers duration seed ~windows
+      run_windowed name mode certifier workers duration seed ~windows
         (fun _db s _wd _r ->
           print_string (Scrape.to_jsonl s);
           0)
@@ -311,10 +298,9 @@ let run_stats name mode_str cert_str workers duration seed format window =
       Printf.eprintf "unknown format %s (expected text, prom or json)\n" other;
       1
 
-let run_monitor name mode_str cert_str workers duration seed windows =
-  run_windowed name mode_str cert_str workers duration seed ~windows (fun _db s w r ->
-      print_summary name (mode_of_string mode_str) (certifier_of_string cert_str) workers
-        duration r;
+let run_monitor name mode certifier workers duration seed windows =
+  run_windowed name mode certifier workers duration seed ~windows (fun _db s w r ->
+      print_summary name mode certifier workers duration r;
       Format.printf "@.";
       print_string (Scrape.render ~last:windows s ~metrics:monitor_metrics);
       let alerts = Watchdog.alerts w in
@@ -329,8 +315,8 @@ let has_prefix ~prefix s =
   String.length s >= String.length prefix
   && String.sub s 0 (String.length prefix) = prefix
 
-let run_trace name mode_str cert_str workers duration seed filter limit =
-  run_observed name mode_str cert_str workers duration seed (fun db _r ->
+let run_trace name mode certifier workers duration seed filter limit =
+  run_observed name mode certifier workers duration seed (fun db _r ->
       let evs = Ssi_obs.Obs.events (E.obs db) in
       let evs =
         match filter with
@@ -349,31 +335,15 @@ let run_trace name mode_str cert_str workers duration seed filter limit =
       List.iter (fun e -> print_endline (Ssi_obs.Obs.event_to_json e)) evs;
       0)
 
-let run_explain name mode_str cert_str workers duration seed trace_capacity =
-  run_observed ~trace_capacity name mode_str cert_str workers duration seed (fun db r ->
-      print_summary name (mode_of_string mode_str) (certifier_of_string cert_str) workers
-        duration r;
+let run_explain name mode certifier workers duration seed trace_capacity =
+  run_observed ~trace_capacity name mode certifier workers duration seed (fun db r ->
+      print_summary name mode certifier workers duration r;
       Format.printf "@.";
       print_string (Explain.render (E.obs db));
       0)
 
-(* ---- chaos ---------------------------------------------------------------- *)
+(* ---- recover ------------------------------------------------------------ *)
 
-module F = Ssi_fault.Fault
-module Replica = Ssi_replication.Replica
-module Stream = Ssi_replication.Stream
-module Net = Ssi_net.Net
-module Sim = Ssi_sim.Sim
-
-let row_count eng =
-  E.with_txn eng (fun txn ->
-      List.fold_left
-        (fun acc t -> acc + List.length (E.seq_scan txn ~table:t ()))
-        0 (E.table_names eng))
-
-(* ---- recover / torture --------------------------------------------------- *)
-
-module Torture = Ssi_fault.Torture
 module Wal = Ssi_wal.Wal
 
 let run_recover file =
@@ -399,309 +369,6 @@ let run_recover file =
   Format.printf "@.";
   print_string (Ssi_obs.Obs.render (E.obs db));
   0
-
-let run_torture seed certifier kill_points kill_every torn_writes wal_out =
-  Format.printf "recovery torture seed=%d certifier=%s kill-points=%d stride=%d torn-writes=%b@."
-    seed
-    (Certifier.kind_to_string certifier)
-    kill_points kill_every torn_writes;
-  let outcomes =
-    Torture.sweep ?wal_out ~certifier ~max_kills:kill_points ~kill_every ~seed
-      ~with_damage:torn_writes ()
-  in
-  List.iter (fun o -> Format.printf "  %s@." (Torture.pp_outcome o)) outcomes;
-  let crashes = List.length (List.filter (fun o -> o.Torture.o_crashed) outcomes) in
-  let damaged = List.length (List.filter (fun o -> o.Torture.o_damage <> None) outcomes) in
-  let truncations = List.length (List.filter (fun o -> o.Torture.o_truncated > 0) outcomes) in
-  Format.printf "ran %d recoveries: %d crashed, %d damaged tails, %d truncations@."
-    (List.length outcomes) crashes damaged truncations;
-  (match wal_out with
-  | Some f -> Format.printf "first run's log saved to %s@." f
-  | None -> ());
-  let bad = List.filter (fun o -> not (Torture.invariants_ok o)) outcomes in
-  if bad = [] then begin
-    Format.printf "all durability invariants held@.";
-    0
-  end
-  else begin
-    Format.printf "INVARIANT VIOLATIONS:@.";
-    List.iter (fun o -> Format.printf "  %s@." (Torture.pp_outcome o)) bad;
-    1
-  end
-
-let print_promotion (p : Replica.promotion) =
-  Format.printf
-    "  failover           promoted at cseq %d: %d rows (safe snapshot), %d commits discarded@."
-    p.Replica.promote_cseq (row_count p.Replica.engine) p.Replica.discarded_commits
-
-(* Read-fleet mode: route a read-heavy workload through the replica read
-   router under a seeded fault plan, check every routed read against the
-   commit order, and replay the run to prove determinism. *)
-let run_readfleet seed fleet read_mix workers failover partitions net_chaos =
-  let module RF = Ssi_harness.Readfleet in
-  let cfg =
-    {
-      RF.default_cfg with
-      RF.seed;
-      replicas = fleet;
-      read_mix;
-      workers;
-      failover;
-      partitions = (if partitions = 0 then RF.default_cfg.RF.partitions else partitions);
-      net_chaos = (if net_chaos = 0 then RF.default_cfg.RF.net_chaos else net_chaos);
-    }
-  in
-  Format.printf "read-fleet chaos seed=%d replicas=%d read-mix=%.2f workers=%d failover=%b@."
-    seed fleet read_mix workers cfg.RF.failover;
-  let o = RF.run cfg in
-  Format.printf "%a" RF.pp_outcome o;
-  let o2 = RF.run cfg in
-  let identical = RF.fingerprint o = RF.fingerprint o2 in
-  Format.printf "replay: %s@."
-    (if identical then "byte-identical" else "DIVERGED from the first run");
-  let ok =
-    o.RF.violation = None && o.RF.read_giveups = 0 && o.RF.write_giveups = 0
-    && o.RF.session_violations = 0 && identical
-  in
-  if ok then 0 else 1
-
-let run_sharded seed shards workers partitions net_chaos =
-  let module S = Ssi_harness.Sharded in
-  let cfg =
-    {
-      S.default_cfg with
-      S.seed;
-      shards;
-      workers;
-      partitions = (if partitions = 0 then S.default_cfg.S.partitions else partitions);
-      net_chaos = (if net_chaos = 0 then S.default_cfg.S.net_chaos else net_chaos);
-    }
-  in
-  Format.printf "sharded chaos seed=%d shards=%d workers=%d partitions=%d net-chaos=%d@."
-    seed shards cfg.S.workers cfg.S.partitions cfg.S.net_chaos;
-  let o = S.run cfg in
-  Format.printf "%a" S.pp_outcome o;
-  let o2 = S.run cfg in
-  let identical = S.fingerprint o = S.fingerprint o2 in
-  Format.printf "replay: %s@."
-    (if identical then "byte-identical" else "DIVERGED from the first run");
-  if o.S.violation = None && identical then 0 else 1
-
-let run_chaos seed cert_str duration workers failover replicas quorum partitions net_chaos
-    explain trace_out trace_capacity kill_points kill_every torn_writes wal_out read_fleet
-    read_mix shards alerts scrape_out metrics_out =
-  let certifier = certifier_of_string cert_str in
-  if kill_points > 0 then run_torture seed certifier kill_points kill_every torn_writes wal_out
-  else if shards > 0 then run_sharded seed shards workers partitions net_chaos
-  else if read_fleet > 0 then
-    (* The read-fleet harness runs its own always-on scraper and
-       watchdog; its alerts are part of the printed outcome (and of the
-       replay fingerprint). *)
-    run_readfleet seed read_fleet read_mix workers failover partitions net_chaos
-  else begin
-  let rows = 100 in
-  let plan = F.gen_plan ~seed ~horizon:duration ~failover ~partitions ~net_chaos () in
-  Format.printf "chaos seed=%d certifier=%s horizon=%.1fs workers=%d replicas=%d@." seed
-    (Certifier.kind_to_string certifier)
-    duration workers replicas;
-  Format.printf "fault plan:@.";
-  List.iter (fun l -> Format.printf "  %s@." l) (F.describe plan);
-  let log_lines = ref [] in
-  let log s = log_lines := s :: !log_lines in
-  let injector = F.injector ~seed in
-  let eng = ref None in
-  let replica = ref None in
-  let promoted = ref None in
-  let net = ref None in
-  let old_primary = ref None in
-  let streamed = ref [] in
-  let failed_over = ref None in
-  let scr = ref None in
-  let wd = ref None in
-  let want_telemetry = alerts || scrape_out <> None || metrics_out <> None in
-  let chaos db =
-    eng := Some db;
-    E.set_fault_injector db (Some (fun ~op -> F.hook injector ~op));
-    if want_telemetry then begin
-      let s = Scrape.create ~capacity:64 (E.obs db) in
-      scr := Some s;
-      let replica_names = List.init replicas (fun i -> Printf.sprintf "r%d" (i + 1)) in
-      wd :=
-        Some
-          (Watchdog.create s
-             (Watchdog.default_rules
-                ~certifier_prefix:(Certifier.kind_to_string certifier)
-                ~replicas:replica_names ()));
-      (* Past the workload horizon so the post-heal catch-up is scraped
-         too. *)
-      Scrape.run s ~interval:(duration /. 25.) ~until:(duration +. 0.1)
-    end;
-    if replicas = 0 then begin
-      (* Direct mode: the replica hangs off the primary's in-process commit
-         hook; network events in the plan are logged as skipped. *)
-      let r = Replica.attach db in
-      replica := Some r;
-      let target = { F.engine = db; injector = Some injector; replica = Some r; fleet = []; net = None; net_ops = None } in
-      let observer phase (ev : F.event) =
-        match (phase, ev.F.kind) with
-        | `After, F.Failover -> promoted := Some (Replica.promote r ~primary:db `Latest_safe)
-        | _ -> ()
-      in
-      Sim.spawn (fun () -> F.execute ~observer target plan ~log)
-    end
-    else begin
-      (* Streaming mode: WAL records cross a seeded adversarial network. *)
-      let n = Net.create ~obs:(E.obs db) ~seed () in
-      net := Some n;
-      let quorum = Option.map (fun k -> { Stream.k; deadline = 0.002 }) quorum in
-      let p = Stream.make_primary n ~node:"p" ~epoch:1 ?quorum db in
-      old_primary := Some p;
-      let subs =
-        List.init replicas (fun i ->
-            let name = Printf.sprintf "r%d" (i + 1) in
-            let core = Replica.create ~obs:(E.obs db) ~name () in
-            Stream.subscribe n ~node:name ~primary_node:"p" ~epoch:1 core)
-      in
-      streamed := subs;
-      let target = { F.engine = db; injector = Some injector; replica = None; fleet = []; net = Some n; net_ops = None } in
-      let observer phase (ev : F.event) =
-        match (phase, ev.F.kind) with
-        | `After, F.Failover -> (
-            match subs with
-            | [] -> ()
-            | first :: rest ->
-                let fo = Stream.promote first ~schema_from:db ?quorum `Latest_safe in
-                failed_over := Some fo;
-                List.iter
-                  (fun s ->
-                    Stream.resubscribe s ~primary_node:(Stream.sub_node first)
-                      ~epoch:(Stream.epoch fo.Stream.new_primary))
-                  rest)
-        | _ -> ()
-      in
-      Sim.spawn (fun () -> F.execute ~observer target plan ~log);
-      (* After the workload horizon: heal every partition and drive the
-         catch-up, so the run ends with converged replicas. *)
-      Sim.spawn (fun () ->
-          Sim.delay (duration +. 0.05);
-          Net.heal_all n;
-          let acting =
-            match !failed_over with Some fo -> fo.Stream.new_primary | None -> p
-          in
-          Stream.retransmit_unacked acting;
-          List.iter
-            (fun s -> if Stream.sub_node s <> Stream.primary_node acting then Stream.sync s)
-            subs)
-    end
-  in
-  let bench =
-    {
-      Driver.default_bench with
-      Driver.mode = Driver.SSI;
-      certifier;
-      workers;
-      duration;
-      warmup = 0.;
-      seed;
-      chaos = Some chaos;
-      trace_capacity;
-    }
-  in
-  let r = Driver.run ~setup:(Sibench.setup ~rows) ~specs:(Sibench.specs ~rows ()) bench in
-  Format.printf "chaos log:@.";
-  List.iter (fun l -> Format.printf "  %s@." l) (List.rev !log_lines);
-  Format.printf "results:@.";
-  Format.printf "  committed          %d (%.0f tx/s)@." r.Driver.committed r.Driver.throughput;
-  Format.printf "  serialization fail %d, deadlocks %d@." r.Driver.failures r.Driver.deadlocks;
-  Format.printf "  injected faults    %d@." r.Driver.injected_faults;
-  Format.printf "  retries            %d, giveups %d@." r.Driver.retries r.Driver.giveups;
-  Format.printf "  attempts/commit    %.2f@." r.Driver.attempts_per_commit;
-  (match !replica with
-  | Some rep ->
-      Format.printf "  replica            applied cseq %d, safe cseq %d@."
-        (Replica.applied_cseq rep) (Replica.last_safe_cseq rep)
-  | None -> ());
-  (match !promoted with Some p -> print_promotion p | None -> ());
-  (match (!net, !old_primary) with
-  | Some n, Some p ->
-      let obs = E.obs (Stream.engine p) in
-      Format.printf "network:@.";
-      List.iter (fun (k, v) -> Format.printf "  %-18s %d@." k v) (Net.stats n);
-      let acting = match !failed_over with Some fo -> fo.Stream.new_primary | None -> p in
-      (* Captured before any report query commits on the acting primary. *)
-      let acting_last = Stream.last_cseq acting in
-      Format.printf "streaming:@.";
-      Format.printf "  primary            %s (epoch %d), last cseq %d%s@."
-        (Stream.primary_node acting) (Stream.epoch acting) acting_last
-        (if Stream.is_deposed p && acting != p then "; old primary fenced" else "");
-      (match !failed_over with
-      | Some fo ->
-          print_promotion fo.Stream.promotion;
-          Format.printf "  fenced primary     deposed=%b@." (Stream.is_deposed p)
-      | None -> ());
-      let counters = [ "stream.wal_sent"; "stream.retransmits"; "stream.quorum_waits";
-                       "stream.quorum_timeouts" ] in
-      List.iter
-        (fun name -> Format.printf "  %-18s %d@." name (Ssi_obs.Obs.get_counter obs name))
-        counters;
-      List.iter
-        (fun s ->
-          let core = Stream.core s in
-          if Stream.sub_node s <> Stream.primary_node acting then
-            Format.printf "  %-18s applied cseq %d, safe cseq %d%s@." (Replica.name core)
-              (Replica.applied_cseq core) (Replica.last_safe_cseq core)
-              (if Replica.applied_cseq core >= acting_last then " (converged)" else " (behind)"))
-        !streamed
-  | _ -> ());
-  (match !eng with
-  | None -> ()
-  | Some db ->
-      let obs = E.obs db in
-      if explain then begin
-        Format.printf "explain:@.";
-        print_string (Explain.render obs)
-      end;
-      match trace_out with
-      | None -> ()
-      | Some path ->
-          let oc = open_out path in
-          output_string oc (Ssi_obs.Obs.Spans.to_chrome_json obs);
-          close_out oc;
-          Format.printf "trace written to %s (%d spans retained, %d dropped)@." path
-            (List.length (Ssi_obs.Obs.Spans.all obs))
-            (Ssi_obs.Obs.Spans.dropped obs));
-  let telemetry_ok = ref true in
-  (match (!scr, !wd, !eng) with
-  | Some s, Some w, Some db ->
-      if alerts then begin
-        let als = Watchdog.alerts w in
-        Format.printf "alerts (%d):@." (List.length als);
-        List.iter (fun a -> Format.printf "  %s@." (Watchdog.render_alert a)) als
-      end;
-      let om = Scrape.openmetrics (E.obs db) in
-      (match Scrape.validate_openmetrics om with
-      | Ok families -> Format.printf "openmetrics: valid, %d families@." families
-      | Error e ->
-          Format.printf "openmetrics: INVALID (%s)@." e;
-          telemetry_ok := false);
-      (match scrape_out with
-      | None -> ()
-      | Some path ->
-          let oc = open_out path in
-          output_string oc (Scrape.to_jsonl s);
-          close_out oc;
-          Format.printf "time series written to %s (%d windows retained)@." path
-            (List.length (Scrape.windows s)));
-      (match metrics_out with
-      | None -> ()
-      | Some path ->
-          let oc = open_out path in
-          output_string oc om;
-          close_out oc;
-          Format.printf "openmetrics written to %s@." path)
-  | _ -> ());
-  if !telemetry_ok then 0 else 1
-  end
 
 (* ---- sql REPL ------------------------------------------------------------ *)
 
@@ -761,15 +428,22 @@ let bench_cmd =
     Term.(const run_bench $ exp_arg $ quick_arg)
 
 let wl_arg =
-  Arg.(required & pos 0 (some string) None
-       & info [] ~docv:"WORKLOAD" ~doc:"sibench, tpcc or rubis")
+  let names = List.map (fun (name, _) -> (name, name)) workloads in
+  Arg.(required & pos 0 (some (enum names)) None
+       & info [] ~docv:"WORKLOAD" ~doc:(doc_alts_enum names))
 
 let mode_arg =
-  Arg.(value & opt string "ssi" & info [ "mode" ] ~doc:"si, ssi, ssi-noro or s2pl")
+  let modes =
+    [ ("si", Driver.SI); ("ssi", Driver.SSI); ("ssi-noro", Driver.SSI_no_ro_opt);
+      ("s2pl", Driver.S2PL) ]
+  in
+  Arg.(value & opt (enum modes) Driver.SSI
+       & info [ "mode" ] ~docv:"MODE" ~doc:("Isolation mode: " ^ doc_alts_enum modes))
 
 let certifier_arg =
-  Arg.(value & opt string "ssi"
-       & info [ "certifier" ]
+  let kinds = List.map (fun k -> (Certifier.kind_to_string k, k)) Certifier.all_kinds in
+  Arg.(value & opt (enum kinds) Certifier.SSI
+       & info [ "certifier" ] ~docv:"CERTIFIER"
            ~doc:
              "Serializability certifier for serializable modes: ssi (the paper's \
               dangerous-structure detection), ssn (Serial Safety Net exclusion windows) \
@@ -869,154 +543,202 @@ let explain_cmd =
       const run_explain $ wl_arg $ mode_arg $ certifier_arg $ workers_arg $ duration_arg
       $ seed_arg $ cap_arg)
 
+(* One subcommand per scenario; each takes only the flags its harness
+   reads and hands the assembled cfg to the one runner. *)
 let chaos_cmd =
-  let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Fault-plan seed") in
-  let duration_arg =
-    Arg.(value & opt float 3.0 & info [ "duration" ] ~doc:"Simulated seconds (fault horizon)")
-  in
+  let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Scenario seed") in
   let workers_arg = Arg.(value & opt int 8 & info [ "workers" ] ~doc:"Concurrent sessions") in
-  let failover_arg =
-    Arg.(value & flag & info [ "failover" ] ~doc:"Promote the replica near the end of the run")
+  let failover_arg ~doc = Arg.(value & flag & info [ "failover" ] ~doc) in
+  let replicas_arg ~default ~doc =
+    Arg.(value & opt int default & info [ "replicas" ] ~docv:"N" ~doc)
   in
-  let replicas_arg =
-    Arg.(value & opt int 0
-         & info [ "replicas" ]
-             ~doc:
-               "Stream WAL to $(docv) replicas over a simulated lossy network instead of the \
-                in-process commit hook (0 = direct mode)"
-             ~docv:"N")
+  (* Each harness's own default when absent; 0 turns the events off. *)
+  let partitions_arg ~default =
+    Arg.(value & opt int default
+         & info [ "partitions" ] ~docv:"N" ~doc:"Seeded network partitions to schedule")
   in
-  let quorum_arg =
-    Arg.(value & opt (some int) None
-         & info [ "quorum" ]
-             ~doc:
-               "Quorum-synchronous commit: hold each commit ack for $(docv) replica acks \
-                (deadline 2ms of virtual time, then degrade to async)"
-             ~docv:"K")
+  let net_chaos_arg ~default =
+    Arg.(value & opt int default
+         & info [ "net-chaos" ] ~docv:"N" ~doc:"Seeded drop/duplicate/reorder windows to schedule")
   in
-  let partitions_arg =
-    Arg.(value & opt int 0
-         & info [ "partitions" ] ~doc:"Seeded network partitions to schedule" ~docv:"N")
+  let scenario (type c) name ~doc (module M : Scenario.S with type cfg = c) cfg =
+    Cmd.v (Cmd.info name ~doc) Term.(const (Scenario.main (module M)) $ cfg)
   in
-  let net_chaos_arg =
-    Arg.(value & opt int 0
-         & info [ "net-chaos" ]
-             ~doc:"Seeded drop/duplicate/reorder windows to schedule" ~docv:"N")
+  let plan =
+    let duration_arg =
+      Arg.(value & opt float 3.0 & info [ "duration" ] ~doc:"Simulated seconds (fault horizon)")
+    in
+    let quorum_arg =
+      Arg.(value & opt (some int) None
+           & info [ "quorum" ]
+               ~doc:
+                 "Quorum-synchronous commit: hold each commit ack for $(docv) replica acks \
+                  (deadline 2ms of virtual time, then degrade to async)"
+               ~docv:"K")
+    in
+    let explain_arg =
+      Arg.(value & flag
+           & info [ "explain" ]
+               ~doc:"Print the dangerous structure behind every SSI abort after the run")
+    in
+    let trace_out_arg =
+      Arg.(value & opt (some string) None
+           & info [ "trace-out" ] ~docv:"FILE"
+               ~doc:
+                 "Export all retained spans as Chrome trace-event JSON (Perfetto / \
+                  chrome://tracing) to $(docv)")
+    in
+    let trace_capacity_arg =
+      Arg.(value & opt (some int) None
+           & info [ "trace-capacity" ] ~docv:"N"
+               ~doc:
+                 "Size of the span table (default 4096); exports and explanations need this \
+                  above the run's span volume")
+    in
+    let alerts_arg =
+      Arg.(value & flag
+           & info [ "alerts" ]
+               ~doc:
+                 "Run the SLO watchdog (default rule catalog) over an always-on scrape of \
+                  the run and print every alert it fired; also validates the OpenMetrics \
+                  exposition of the final registry (non-zero exit if invalid)")
+    in
+    let scrape_out_arg =
+      Arg.(value & opt (some string) None
+           & info [ "scrape-out" ] ~docv:"FILE"
+               ~doc:
+                 "Write the scraped time series (one JSON object per window) to $(docv); \
+                  implies the always-on scrape")
+    in
+    let metrics_out_arg =
+      Arg.(value & opt (some string) None
+           & info [ "metrics-out" ] ~docv:"FILE"
+               ~doc:
+                 "Write the final registry in OpenMetrics text format to $(docv); implies \
+                  the always-on scrape")
+    in
+    let cfg seed certifier duration workers failover replicas quorum partitions net_chaos
+        explain trace_out trace_capacity alerts scrape_out metrics_out =
+      {
+        Chaos.seed;
+        certifier;
+        duration;
+        workers;
+        failover;
+        replicas;
+        quorum;
+        partitions;
+        net_chaos;
+        explain;
+        trace_capacity;
+        alerts;
+        trace_out;
+        scrape_out;
+        metrics_out;
+      }
+    in
+    scenario "plan" (module Chaos)
+      ~doc:
+        "Run SIBENCH under a seeded fault plan (crashes, I/O faults, memory pressure, \
+         replica lag, network partitions and chaos) and report resilience counters"
+      Term.(
+        const cfg $ seed_arg $ certifier_arg $ duration_arg $ workers_arg
+        $ failover_arg ~doc:"Promote the replica near the end of the run"
+        $ replicas_arg ~default:0
+            ~doc:
+              "Stream WAL to $(docv) replicas over a simulated lossy network instead of \
+               the in-process commit hook (0 = direct mode)"
+        $ quorum_arg $ partitions_arg ~default:0 $ net_chaos_arg ~default:0 $ explain_arg
+        $ trace_out_arg $ trace_capacity_arg $ alerts_arg $ scrape_out_arg $ metrics_out_arg)
   in
-  let explain_arg =
-    Arg.(value & flag
-         & info [ "explain" ]
-             ~doc:"Print the dangerous structure behind every SSI abort after the run")
+  let fleet =
+    let module RF = Readfleet in
+    let read_mix_arg =
+      Arg.(value & opt float 0.9
+           & info [ "read-mix" ] ~doc:"Fraction of client transactions that are reads" ~docv:"F")
+    in
+    let cfg seed replicas read_mix workers failover partitions net_chaos =
+      { RF.default_cfg with RF.seed; replicas; read_mix; workers; failover; partitions; net_chaos }
+    in
+    scenario "fleet" (module RF)
+      ~doc:
+        "Route a read-heavy workload through the replica read router over streaming \
+         replicas under partitions, lag spikes and network chaos, and check every routed \
+         read against the commit order"
+      Term.(
+        const cfg $ seed_arg
+        $ replicas_arg ~default:2 ~doc:"Streaming replicas behind the read router"
+        $ read_mix_arg $ workers_arg
+        $ failover_arg ~doc:"Fenced failover to a replica at 90% of the horizon"
+        $ partitions_arg ~default:RF.default_cfg.RF.partitions
+        $ net_chaos_arg ~default:RF.default_cfg.RF.net_chaos)
   in
-  let trace_out_arg =
-    Arg.(value & opt (some string) None
-         & info [ "trace-out" ] ~docv:"FILE"
-             ~doc:
-               "Export all retained spans as Chrome trace-event JSON (Perfetto / \
-                chrome://tracing) to $(docv)")
+  let shards =
+    let module S = Sharded in
+    let shards_arg =
+      Arg.(value & opt int 2
+           & info [ "shards" ] ~docv:"N" ~doc:"Engines the table is hash-partitioned across")
+    in
+    let cfg seed shards workers partitions net_chaos =
+      { S.default_cfg with S.seed; shards; workers; partitions; net_chaos }
+    in
+    scenario "shards" (module S)
+      ~doc:
+        "Drive multi-shard transactions through the 2PC coordinator under partitions, \
+         message chaos and a participant crash, and check the combined history with the \
+         spliced-DSG oracle"
+      Term.(
+        const cfg $ seed_arg $ shards_arg $ workers_arg
+        $ partitions_arg ~default:S.default_cfg.S.partitions
+        $ net_chaos_arg ~default:S.default_cfg.S.net_chaos)
   in
-  let trace_capacity_arg =
-    Arg.(value & opt (some int) None
-         & info [ "trace-capacity" ] ~docv:"N"
-             ~doc:
-               "Size of the span table (default 4096); exports and explanations need this \
-                above the run's span volume")
+  let torture =
+    let module T = Ssi_fault.Torture in
+    let kill_points_arg =
+      Arg.(value & opt int 10
+           & info [ "kill-points" ] ~docv:"N"
+               ~doc:
+                 "Crash the durable log at up to $(docv) successive engine fault points \
+                  (one crash/recover cycle each)")
+    in
+    let kill_every_arg =
+      Arg.(value & opt int 3
+           & info [ "kill-every" ] ~docv:"K" ~doc:"Stride between successive kill points")
+    in
+    let torn_writes_arg =
+      Arg.(value & flag
+           & info [ "torn-writes" ]
+               ~doc:
+                 "Damage the flush in flight at each crash (seeded torn write, short write \
+                  or bit flip)")
+    in
+    let wal_out_arg =
+      Arg.(value & opt (some string) None
+           & info [ "wal-out" ] ~docv:"FILE"
+               ~doc:"Save the first cycle's crashed log image to $(docv) for $(b,pg_ssi recover)")
+    in
+    let cfg seed certifier max_kills kill_every with_damage wal_out =
+      { T.seed; certifier; max_kills; kill_every; with_damage; wal_out }
+    in
+    scenario "torture" (module T)
+      ~doc:
+        "Kill-point recovery torture: crash, cold-start with recovery, and check the \
+         durability invariants at successive fault points"
+      Term.(
+        const cfg $ seed_arg $ certifier_arg $ kill_points_arg $ kill_every_arg
+        $ torn_writes_arg $ wal_out_arg)
   in
-  let kill_points_arg =
-    Arg.(value & opt int 0
-         & info [ "kill-points" ]
-             ~doc:
-               "Recovery torture: crash the durable log at up to $(docv) successive engine \
-                fault points (one crash/recover cycle each) and check the durability \
-                invariants, instead of running a fault plan (0 = off)"
-             ~docv:"N")
-  in
-  let kill_every_arg =
-    Arg.(value & opt int 3
-         & info [ "kill-every" ]
-             ~doc:"Stride between successive kill points in the torture sweep" ~docv:"K")
-  in
-  let torn_writes_arg =
-    Arg.(value & flag
-         & info [ "torn-writes" ]
-             ~doc:
-               "With $(b,--kill-points): damage the flush in flight at each crash (seeded \
-                torn write, short write or bit flip)")
-  in
-  let wal_out_arg =
-    Arg.(value & opt (some string) None
-         & info [ "wal-out" ] ~docv:"FILE"
-             ~doc:
-               "With $(b,--kill-points): save the first run's crashed log image to $(docv) \
-                for $(b,pg_ssi recover)")
-  in
-  let read_fleet_arg =
-    Arg.(value & opt int 0
-         & info [ "read-fleet" ]
-             ~doc:
-               "Read-fleet chaos: route a read-heavy workload through the replica read \
-                router over $(docv) streaming replicas under partitions, lag spikes and \
-                network chaos (one of each unless overridden), check every routed read \
-                against the commit order, and verify byte-identical replay (0 = off)"
-             ~docv:"N")
-  in
-  let read_mix_arg =
-    Arg.(value & opt float 0.9
-         & info [ "read-mix" ]
-             ~doc:"With $(b,--read-fleet): fraction of client transactions that are reads"
-             ~docv:"F")
-  in
-  let shards_arg =
-    Arg.(value & opt int 0
-         & info [ "shards" ]
-             ~doc:
-               "Sharded chaos: hash-partition one table across $(docv) engines behind the \
-                2PC coordinator, drive multi-shard transactions under partitions, message \
-                chaos and participant crashes (one of each unless overridden), check the \
-                combined multi-shard history with the spliced-DSG oracle, and verify \
-                byte-identical replay (0 = off)"
-             ~docv:"N")
-  in
-  let alerts_arg =
-    Arg.(value & flag
-         & info [ "alerts" ]
-             ~doc:
-               "Run the SLO watchdog (default rule catalog) over an always-on scrape of \
-                the run and print every alert it fired; also validates the OpenMetrics \
-                exposition of the final registry (non-zero exit if invalid)")
-  in
-  let scrape_out_arg =
-    Arg.(value & opt (some string) None
-         & info [ "scrape-out" ] ~docv:"FILE"
-             ~doc:
-               "Write the scraped time series (one JSON object per window) to $(docv); \
-                implies the always-on scrape")
-  in
-  let metrics_out_arg =
-    Arg.(value & opt (some string) None
-         & info [ "metrics-out" ] ~docv:"FILE"
-             ~doc:
-               "Write the final registry in OpenMetrics text format to $(docv); implies \
-                the always-on scrape")
-  in
-  Cmd.v
+  Cmd.group
     (Cmd.info "chaos"
        ~doc:
-         "Run a workload under a seeded fault plan (crashes, I/O faults, memory pressure, \
-          replica lag, network partitions and chaos) and report resilience counters; with \
-          $(b,--kill-points), run the kill-point recovery torture sweep instead; with \
-          $(b,--read-fleet), run the oracle-checked read-fleet router scenario instead")
-    Term.(
-      const run_chaos $ seed_arg $ certifier_arg $ duration_arg $ workers_arg $ failover_arg
-      $ replicas_arg $ quorum_arg $ partitions_arg $ net_chaos_arg $ explain_arg
-      $ trace_out_arg $ trace_capacity_arg $ kill_points_arg $ kill_every_arg
-      $ torn_writes_arg $ wal_out_arg $ read_fleet_arg $ read_mix_arg $ shards_arg
-      $ alerts_arg $ scrape_out_arg $ metrics_out_arg)
+         "Seeded, replayable chaos scenarios: each runs twice and exits non-zero unless its \
+          checks held and the replay was byte-identical")
+    [ plan; fleet; shards; torture ]
 
 let recover_cmd =
   let file_arg =
     Arg.(required & pos 0 (some string) None
-         & info [] ~docv:"FILE" ~doc:"Durable-log image (e.g. from chaos $(b,--wal-out))")
+         & info [] ~docv:"FILE" ~doc:"Durable-log image (e.g. from chaos torture $(b,--wal-out))")
   in
   Cmd.v
     (Cmd.info "recover"

@@ -32,7 +32,7 @@ type txn_log = {
 
 type resolution = Committed | Rolled_back
 
-type outcome = {
+type cycle = {
   o_seed : int;
   o_kill_point : int;
   o_crashed : bool;
@@ -59,7 +59,7 @@ let describe_damage = function
   | Wal.Short_write n -> Printf.sprintf "short-write:%d" n
   | Wal.Bit_flip n -> Printf.sprintf "bit-flip:%d" n
 
-let pp_outcome o =
+let pp_cycle o =
   Printf.sprintf
     "seed=%d kill=%d crashed=%b damage=%s acked=%d lost=%d dense=%b truncated=%d \
      replayed=%d pending=%d prepared_ok=%b state_ok=%b replica_ok=%b epoch=%d"
@@ -94,7 +94,27 @@ let scan_rows eng =
        (fun row -> (Value.as_int row.(0), Value.as_int row.(1)))
        (E.with_txn ~isolation:E.Repeatable_read eng (fun t -> E.seq_scan t ~table ())))
 
-let run_one ?wal_out ?(certifier = Ssi_core.Certifier.SSI) ~seed ~kill_point ~with_damage () =
+type cfg = {
+  seed : int;
+  certifier : Ssi_core.Certifier.kind;
+  max_kills : int;
+  kill_every : int;
+  with_damage : bool;
+  wal_out : string option;
+}
+
+let default_cfg =
+  {
+    seed = 1;
+    certifier = Ssi_core.Certifier.SSI;
+    max_kills = 64;
+    kill_every = 1;
+    with_damage = false;
+    wal_out = None;
+  }
+
+(* One crash/recover cycle, crashing at the [kill_point]-th fault point. *)
+let run_one { seed; certifier; with_damage; _ } ~kill_point ~wal_out =
   let config = config ~certifier in
   let dmg_rng = Rng.make (Hashtbl.hash (seed, kill_point, "torture-damage")) in
   let wal = Wal.create ~flush_interval () in
@@ -388,13 +408,37 @@ let run_one ?wal_out ?(certifier = Ssi_core.Certifier.SSI) ~seed ~kill_point ~wi
     o_final = !final;
   }
 
-let sweep ?wal_out ?certifier ?(max_kills = 64) ?(kill_every = 1) ~seed ~with_damage () =
+type outcome = { cycles : cycle list; saved_log : string option }
+
+let header c =
+  Printf.sprintf "recovery torture seed=%d certifier=%s kill-points=%d stride=%d torn-writes=%b"
+    c.seed
+    (Ssi_core.Certifier.kind_to_string c.certifier)
+    c.max_kills c.kill_every c.with_damage
+
+let run c =
   let rec go n kill acc =
-    if n > max_kills then List.rev acc
+    if n > c.max_kills then List.rev acc
     else begin
-      let wal_out = if n = 1 then wal_out else None in
-      let o = run_one ?wal_out ?certifier ~seed ~kill_point:kill ~with_damage () in
-      if o.o_crashed then go (n + 1) (kill + kill_every) (o :: acc) else List.rev (o :: acc)
+      let o = run_one c ~kill_point:kill ~wal_out:(if n = 1 then c.wal_out else None) in
+      if o.o_crashed then go (n + 1) (kill + c.kill_every) (o :: acc) else List.rev (o :: acc)
     end
   in
-  go 1 kill_every []
+  { cycles = go 1 c.kill_every []; saved_log = c.wal_out }
+
+let ok o = List.for_all invariants_ok o.cycles
+
+let pp ppf o =
+  let count p = List.length (List.filter p o.cycles) in
+  List.iter (fun c -> Format.fprintf ppf "  %s@." (pp_cycle c)) o.cycles;
+  Format.fprintf ppf "ran %d recoveries: %d crashed, %d damaged tails, %d truncations@."
+    (List.length o.cycles)
+    (count (fun c -> c.o_crashed))
+    (count (fun c -> c.o_damage <> None))
+    (count (fun c -> c.o_truncated > 0));
+  Option.iter (Format.fprintf ppf "first run's log saved to %s@.") o.saved_log;
+  match List.filter (fun c -> not (invariants_ok c)) o.cycles with
+  | [] -> Format.fprintf ppf "all durability invariants held@."
+  | bad ->
+      Format.fprintf ppf "INVARIANT VIOLATIONS:@.";
+      List.iter (fun c -> Format.fprintf ppf "  %s@." (pp_cycle c)) bad

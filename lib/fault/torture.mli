@@ -1,7 +1,7 @@
 (** Kill-point torture: crash the durable log at every k-th engine fault
     point, recover, and check the durability contract.
 
-    Each {!run_one} lives twice.  The {e first life} runs a seeded
+    Each crash/recover {e cycle} lives twice.  The {e first life} runs a seeded
     workload (plus prepared-transaction sentinels) against an engine with
     an attached {!Ssi_wal.Wal} device under group commit, and crashes the
     device at the [kill_point]-th engine fault point — optionally writing
@@ -11,7 +11,7 @@
     ROLLBACK PREPARED), runs more workload, and resyncs a streaming
     replica from the recovered primary at a fenced higher epoch.
 
-    The {!outcome} records the invariants:
+    The {!cycle} records the invariants:
     - no acknowledged commit is lost ([o_lost_acked = \[\]]);
     - the recovered commit records form a dense cseq prefix [1..n]
       ([o_dense_prefix]) — tail truncation never punches holes;
@@ -33,7 +33,7 @@ type txn_log = {
 
 type resolution = Committed | Rolled_back
 
-type outcome = {
+type cycle = {
   o_seed : int;
   o_kill_point : int;
   o_crashed : bool;  (** the kill point fired (a [false] ends a sweep) *)
@@ -53,30 +53,45 @@ type outcome = {
   o_final : (int * int) list;  (** final (key, writer) rows *)
 }
 
-val invariants_ok : outcome -> bool
+val invariants_ok : cycle -> bool
 (** All of [o_lost_acked = []], [o_dense_prefix], [o_prepared_ok],
     [o_state_ok] and [o_replica_ok]. *)
 
-val pp_outcome : outcome -> string
-(** One summary line per run, for logs and the CLI. *)
+(** {1 The sweep as a {!Ssi_harness.Scenario.S}} *)
 
-val run_one :
-  ?wal_out:string -> ?certifier:Ssi_core.Certifier.kind ->
-  seed:int -> kill_point:int -> with_damage:bool -> unit -> outcome
-(** One crash/recover cycle.  [kill_point] counts engine fault points
-    (data operations, commits, prepares) after setup; if the workload
-    finishes first, [o_crashed] is [false] and the run still recovers from
-    the intact log.  [with_damage] draws a seeded torn write, short write
-    or bit flip for the flush in flight.  [wal_out] saves the (crashed,
-    truncated) device image to a file for [pg_ssi recover].  [certifier]
-    (default SSI) selects the serializability certifier for both lives —
-    first-life workload and the recovered engine. *)
+type cfg = {
+  seed : int;
+  certifier : Ssi_core.Certifier.kind;  (** for both lives of every cycle *)
+  max_kills : int;  (** at most this many cycles *)
+  kill_every : int;  (** stride between successive kill points *)
+  with_damage : bool;  (** damage the flush in flight at each crash *)
+  wal_out : string option;  (** save the first cycle's log image here *)
+}
 
-val sweep :
-  ?wal_out:string -> ?certifier:Ssi_core.Certifier.kind ->
-  ?max_kills:int -> ?kill_every:int ->
-  seed:int -> with_damage:bool -> unit -> outcome list
-(** Crash at fault point [kill_every], [2*kill_every], ... (one {!run_one}
-    each, at most [max_kills] runs, default 64) until a run completes
-    without crashing — the exhaustive scan of crash points the durability
-    claim is checked against.  [wal_out] applies to the first run. *)
+val default_cfg : cfg
+(** seed 1, SSI, at most 64 cycles, stride 1, intact flushes, no image
+    saved. *)
+
+type outcome = {
+  cycles : cycle list;
+  saved_log : string option;  (** where the first cycle's image was saved *)
+}
+
+val header : cfg -> string
+
+val run : cfg -> outcome
+(** Crash at fault point [kill_every], [2*kill_every], ... (one cycle
+    each, at most [max_kills] cycles) until a cycle completes without
+    crashing — the exhaustive scan of crash points the durability claim
+    is checked against.  A kill point counts engine fault points (data
+    operations, commits, prepares) after setup; the cycle whose workload
+    finishes first has [o_crashed = false] and still recovers from the
+    intact log.  [wal_out] saves the first cycle's crashed, truncated
+    device image for [pg_ssi recover]. *)
+
+val ok : outcome -> bool
+(** Every cycle's {!invariants_ok}. *)
+
+val pp : Format.formatter -> outcome -> unit
+(** One line per cycle, the crash/damage/truncation tally, and the
+    verdict. *)

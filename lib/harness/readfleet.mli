@@ -23,8 +23,8 @@
       ([read_giveups] / [write_giveups] stay 0), and read-your-writes
       session tokens were never violated.
 
-    Runs are deterministic: the same [cfg] replays byte-identically
-    (compare {!fingerprint}s). *)
+    Runs are deterministic: the same [cfg] replays byte-identically; the
+    module is a {!Scenario.S}. *)
 
 type cfg = {
   seed : int;
@@ -75,11 +75,12 @@ type outcome = {
   final_rows : (int * int) list;  (** acting primary's state, sorted *)
 }
 
+val header : cfg -> string
 val run : cfg -> outcome
 
-val fingerprint : outcome -> string
-(** Digest of the whole outcome — equal fingerprints mean byte-identical
-    replay. *)
+val ok : outcome -> bool
+(** No oracle or convergence violation, no client-visible giveup, no
+    session violation. *)
 
-val pp_outcome : Format.formatter -> outcome -> unit
+val pp : Format.formatter -> outcome -> unit
 (** Human-readable report: routing counters, oracle verdict, chaos log. *)

@@ -21,8 +21,8 @@
     - {e decision durability}: every surviving prepared transaction was
       resolved according to the coordinator's decision log.
 
-    Runs are deterministic: the same [cfg] replays byte-identically
-    (compare {!fingerprint}s). *)
+    Runs are deterministic: the same [cfg] replays byte-identically; the
+    module is a {!Scenario.S}. *)
 
 type cfg = {
   seed : int;
@@ -61,13 +61,13 @@ type outcome = {
   final_rows : (int * int) list;  (** key -> last writer, sorted *)
 }
 
+val header : cfg -> string
 val run : cfg -> outcome
 
-val fingerprint : outcome -> string
-(** Digest of the whole outcome — equal fingerprints mean byte-identical
-    replay. *)
+val ok : outcome -> bool
+(** The oracle found no violation. *)
 
-val pp_outcome : Format.formatter -> outcome -> unit
+val pp : Format.formatter -> outcome -> unit
 (** Human-readable report: coordinator counters, oracle verdict, chaos
     log. *)
 

@@ -52,7 +52,7 @@ let prop_replay_and_dsg kind name =
 
 (* ---- Kill-point recovery torture ------------------------------------------- *)
 
-let history_of (o : T.outcome) =
+let history_of (o : T.cycle) =
   {
     Oracle.committed =
       List.map
@@ -61,7 +61,7 @@ let history_of (o : T.outcome) =
         o.T.o_history;
   }
 
-let check_outcome name (o : T.outcome) =
+let check_outcome name (o : T.cycle) =
   let tag = Printf.sprintf "%s seed=%d kill=%d: " name o.T.o_seed o.T.o_kill_point in
   Alcotest.(check bool) (tag ^ "durability invariants hold") true (T.invariants_ok o);
   match Oracle.check_serializable (history_of o) with
@@ -74,7 +74,9 @@ let test_torture kind name () =
   let outcomes =
     List.concat_map
       (fun (seed, with_damage) ->
-        T.sweep ~certifier:kind ~max_kills:5 ~kill_every:7 ~seed ~with_damage ())
+        (T.run
+           { T.default_cfg with T.seed; certifier = kind; max_kills = 5; kill_every = 7; with_damage })
+          .T.cycles)
       [ (11, false); (23, true) ]
   in
   List.iter (check_outcome name) outcomes;

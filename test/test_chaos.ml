@@ -14,11 +14,14 @@
    - a replica promoted at `Latest_safe (failover) equals the primary's
      state at the safe-point commit sequence.
 
-   Every plan is run twice from the same seed: the chaos schedule, the
-   committed history, and the final state must replay identically. *)
+   Every plan is run twice from the same seed: the whole outcome — chaos
+   schedule, committed history, final state, counters and alerts — must
+   replay byte for byte.  The last group checks the scenario runner
+   itself: its verdict, its replay check and its exit code. *)
 
 open Ssi_storage
 open Ssi_oracle
+module Scenario = Ssi_harness.Scenario
 module E = Ssi_engine.Engine
 module Sim = Ssi_sim.Sim
 module F = Ssi_fault.Fault
@@ -260,6 +263,22 @@ let run_plan cfg =
       | None -> []);
   }
 
+(* The plan run as a scenario: the runner's double run is the replay
+   check. *)
+module Plan = struct
+  type nonrec cfg = cfg
+  type nonrec outcome = outcome
+
+  let header cfg =
+    Printf.sprintf "seed %d: %dx crash, %dx burst, %dx pressure, %dx lag%s" cfg.seed
+      cfg.crashes cfg.bursts cfg.pressures cfg.lag_spikes
+      (if cfg.failover then ", failover" else "")
+
+  let ok o = Oracle.check_serializable o.history = Ok ()
+  let pp ppf o = List.iter (Format.fprintf ppf "%s@.") (o.chaos_log @ o.alerts)
+  let run = run_plan
+end
+
 (* Replay the committed history (in commit-sequence order) up to [horizon]:
    the expected (key, writer) state.  The seed transaction is xid 1. *)
 let expected_state ?(upto = max_int) history =
@@ -308,15 +327,6 @@ let check_outcome name cfg o =
   Alcotest.(check bool) (name ^ ": some transactions committed") true
     (List.length o.history.Oracle.committed > 0)
 
-let comparable o =
-  ( o.chaos_log,
-    List.map
-      (fun (t : Oracle.committed) -> (t.Oracle.xid, t.Oracle.order, t.Oracle.reads, t.Oracle.writes))
-      o.history.Oracle.committed,
-    o.final_rows,
-    o.injected,
-    o.alerts )
-
 (* Aggregated across all plans, checked last: the perturbations really
    fired (plans are tuned so each fault class triggers somewhere). *)
 let total_injected = ref 0
@@ -334,20 +344,11 @@ let record_alert_kinds o =
     o.alerts
 
 let plan_case cfg =
-  let name =
-    Printf.sprintf "seed %d: %dx crash, %dx burst, %dx pressure, %dx lag%s" cfg.seed
-      cfg.crashes cfg.bursts cfg.pressures cfg.lag_spikes
-      (if cfg.failover then ", failover" else "")
-  in
+  let name = Plan.header cfg in
   Alcotest.test_case name `Quick (fun () ->
-      let o1 = run_plan cfg in
+      let o1, identical = Scenario.replays (module Plan) cfg in
       check_outcome name cfg o1;
-      (* Determinism: same seed, same chaos schedule, same history. *)
-      let o2 = run_plan cfg in
-      Alcotest.(check bool)
-        (name ^ ": same-seed rerun replays identically")
-        true
-        (comparable o1 = comparable o2);
+      Alcotest.(check bool) (name ^ ": same-seed rerun replays identically") true identical;
       total_injected := !total_injected + o1.injected;
       total_summarized := !total_summarized + o1.summarized;
       total_retries := !total_retries + o1.retries;
@@ -379,13 +380,57 @@ let sanity_case =
       (* The SLO watchdog saw the sweep too: both the rate-spike and the
          gauge-breach alert families fired somewhere (each plan's alert
          log also replayed byte-identically above, as part of
-         [comparable]). *)
+         the outcome). *)
       let kinds = List.sort compare (Hashtbl.fold (fun k () l -> k :: l) alert_kinds_seen []) in
       Alcotest.(check bool)
         (Printf.sprintf "watchdog alert kinds fired: [%s]" (String.concat "; " kinds))
         true
         (List.mem "rate_spike" kinds && List.mem "slo_breach" kinds))
 
+(* ---- The scenario runner ---------------------------------------------------- *)
+
+(* [cfg] is the verdict the toy reports; its outcome is a pure function of
+   it. *)
+module Toy = struct
+  type cfg = bool
+  type outcome = { verdict : bool; value : int }
+
+  let header verdict = Printf.sprintf "toy ok=%b" verdict
+  let run verdict = { verdict; value = 7 }
+  let ok o = o.verdict
+  let pp ppf o = Format.fprintf ppf "value %d@." o.value
+end
+
+(* Reads state a previous run left behind: every replay diverges. *)
+module Drifting = struct
+  include Toy
+
+  let runs = ref 0
+
+  let run verdict =
+    incr runs;
+    { verdict; value = !runs }
+end
+
+let runner_case =
+  Alcotest.test_case "verdict, replay check and exit code" `Quick (fun () ->
+      let main m cfg =
+        let buf = Buffer.create 64 in
+        let code = Scenario.main ~ppf:(Format.formatter_of_buffer buf) m cfg in
+        (code, Buffer.contents buf)
+      in
+      let code, out = main (module Toy) true in
+      Alcotest.(check string) "report" "toy ok=true\nvalue 7\nreplay: byte-identical\n" out;
+      Alcotest.(check int) "ok and identical: exit 0" 0 code;
+      Alcotest.(check int) "not ok: exit 1" 1 (fst (main (module Toy) false));
+      let code, out = main (module Drifting) true in
+      Alcotest.(check string) "divergence reported"
+        "toy ok=true\nvalue 1\nreplay: DIVERGED from the first run\n" out;
+      Alcotest.(check int) "diverged: exit 1" 1 code)
+
 let () =
   Alcotest.run "chaos"
-    [ ("seeded fault plans", List.map plan_case plans @ [ sanity_case ]) ]
+    [
+      ("seeded fault plans", List.map plan_case plans @ [ sanity_case ]);
+      ("scenario runner", [ runner_case ]);
+    ]

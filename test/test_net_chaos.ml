@@ -12,8 +12,8 @@
      partition-era writes appear anywhere in the new era;
    - all replicas converge to a byte-identical copy of the acting
      primary's state;
-   - the entire run — chaos log included — replays identically from the
-     seed. *)
+   - the entire outcome — chaos log, lineage, final state and counters —
+     replays byte for byte from the seed. *)
 
 open Ssi_storage
 module E = Ssi_engine.Engine
@@ -25,6 +25,7 @@ module Sim = Ssi_sim.Sim
 module F = Ssi_fault.Fault
 module Rng = Ssi_util.Rng
 module Oracle = Ssi_oracle.Oracle
+module Scenario = Ssi_harness.Scenario
 
 let vi i = Value.Int i
 let table = "kv"
@@ -224,6 +225,18 @@ let run_scenario seed =
     partition_drops = List.assoc "net.partition_drops" (Net.stats net);
   }
 
+(* The scenario keyed by its seed; the runner's double run is the replay
+   check. *)
+module Failover = struct
+  type cfg = int
+  type outcome = scenario_result
+
+  let header seed = Printf.sprintf "partition-failover-heal seed=%d" seed
+  let run = run_scenario
+  let ok r = r.cycle = None && r.r2_rows = r.final_rows
+  let pp ppf r = List.iter (Format.fprintf ppf "%s@.") r.chaos_log
+end
+
 let test_acceptance () =
   let r = run_scenario 1234 in
   Alcotest.(check bool) "old era produced commits" true (r.old_commits_total > 0);
@@ -255,13 +268,8 @@ let test_acceptance () =
     (r.r2_rows = r.final_rows)
 
 let test_deterministic_replay () =
-  let a = run_scenario 777 in
-  let b = run_scenario 777 in
-  Alcotest.(check (list string)) "chaos log replays" a.chaos_log b.chaos_log;
-  Alcotest.(check bool) "lineage replays" true (a.lineage = b.lineage);
-  Alcotest.(check bool) "final state replays" true
-    (a.final_rows = b.final_rows && a.r2_rows = b.r2_rows);
-  Alcotest.(check int) "fence refusals replay" a.fenced_refusals b.fenced_refusals
+  let _, identical = Scenario.replays (module Failover) 777 in
+  Alcotest.(check bool) "whole outcome replays byte for byte" true identical
 
 let test_seed_matrix () =
   (* A small in-test matrix: the scenario's invariants hold across seeds,

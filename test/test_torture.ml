@@ -17,7 +17,7 @@
 open Ssi_oracle
 module T = Ssi_fault.Torture
 
-let history_of (o : T.outcome) =
+let history_of (o : T.cycle) =
   {
     Oracle.committed =
       List.map
@@ -26,7 +26,7 @@ let history_of (o : T.outcome) =
         o.T.o_history;
   }
 
-let check_outcome (o : T.outcome) =
+let check_outcome (o : T.cycle) =
   let tag = Printf.sprintf "seed=%d kill=%d: " o.T.o_seed o.T.o_kill_point in
   Alcotest.(check (list int)) (tag ^ "no acked commit lost") [] o.T.o_lost_acked;
   Alcotest.(check bool) (tag ^ "dense cseq prefix") true o.T.o_dense_prefix;
@@ -41,8 +41,11 @@ let check_outcome (o : T.outcome) =
       Alcotest.failf "%scombined history not serializable:\n%s" tag
         (Oracle.pp_cycle (history_of o) cycle)
 
+let sweep ~seed ~max_kills ~kill_every ~with_damage =
+  (T.run { T.default_cfg with T.seed; max_kills; kill_every; with_damage }).T.cycles
+
 let run_sweep ~seed ~with_damage () =
-  let outcomes = T.sweep ~max_kills:8 ~kill_every:7 ~seed ~with_damage () in
+  let outcomes = sweep ~max_kills:8 ~kill_every:7 ~seed ~with_damage in
   Alcotest.(check bool) "sweep ran" true (outcomes <> []);
   List.iter check_outcome outcomes;
   outcomes
@@ -63,7 +66,7 @@ let test_damaged_tail_truncated () =
   let rec hunt seed =
     if seed > 40 then Alcotest.fail "no damaged-tail truncation found in seed range"
     else
-      let outcomes = T.sweep ~max_kills:6 ~kill_every:5 ~seed ~with_damage:true () in
+      let outcomes = sweep ~max_kills:6 ~kill_every:5 ~seed ~with_damage:true in
       List.iter check_outcome outcomes;
       if not (List.exists (fun o -> o.T.o_truncated > 0) outcomes) then hunt (seed + 1)
   in
@@ -75,7 +78,7 @@ let test_in_doubt_resolutions () =
      sweep both verdicts occur and both keep every invariant. *)
   let outcomes =
     List.concat_map
-      (fun seed -> T.sweep ~max_kills:8 ~kill_every:9 ~seed ~with_damage:false ())
+      (fun seed -> sweep ~max_kills:8 ~kill_every:9 ~seed ~with_damage:false)
       [ 3; 5; 11 ]
   in
   List.iter check_outcome outcomes;
@@ -86,12 +89,9 @@ let test_in_doubt_resolutions () =
     && List.exists (fun (_, r) -> r = T.Rolled_back) resolved)
 
 let test_deterministic () =
-  let strip (o : T.outcome) =
-    (o.T.o_kill_point, o.T.o_crashed, o.T.o_damage, o.T.o_acked, o.T.o_truncated,
-     o.T.o_prepared_pending, o.T.o_history, o.T.o_final)
-  in
-  let run () = List.map strip (T.sweep ~max_kills:4 ~kill_every:8 ~seed:17 ~with_damage:true ()) in
-  Alcotest.(check bool) "same seed, same torture" true (run () = run ())
+  let cfg = { T.default_cfg with T.seed = 17; max_kills = 4; kill_every = 8; with_damage = true } in
+  let _, identical = Ssi_harness.Scenario.replays (module T) cfg in
+  Alcotest.(check bool) "same seed, same torture" true identical
 
 let () =
   Alcotest.run "torture"
