@@ -1,17 +1,14 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (§8).
 
-     dune exec bench/main.exe            -- run everything
-     dune exec bench/main.exe -- fig4    -- Figure 4 (SIBENCH)
-     dune exec bench/main.exe -- fig5a   -- Figure 5a (DBT-2++, in-memory)
-     dune exec bench/main.exe -- fig5b   -- Figure 5b (DBT-2++, disk-bound)
-     dune exec bench/main.exe -- fig6    -- Figure 6 (RUBiS)
-     dune exec bench/main.exe -- defer   -- §8.4 deferrable-transaction latency
-     dune exec bench/main.exe -- walgroup -- group-commit flush-interval sweep
+     dune exec bench/main.exe            -- every figure, json and micro
+     dune exec bench/main.exe -- fig4    -- one entry of Experiments.all:
+                                            fig4 fig5a fig5b fig6 defer abl walgroup
      dune exec bench/main.exe -- json    -- BENCH_<workload>.json summaries
      dune exec bench/main.exe -- micro   -- §8.1 CPU-overhead microbenchmarks
-     dune exec bench/main.exe -- regress -- compare against bench/baselines/ (CI gate)
-     dune exec bench/main.exe -- quick   -- reduced-size versions of everything
+     dune exec bench/main.exe -- regress -- json, then compare against
+                                            bench/baselines/ (CI gate)
+     dune exec bench/main.exe -- fig4 quick  -- reduced sizes (any target)
 
    Absolute numbers are simulated (see DESIGN.md §5); the claims under test
    are the figures' shapes: who wins, by how much, and where the curves
@@ -24,84 +21,16 @@ module Certifier = Ssi_core.Certifier
 
 let banner name = Printf.printf "\n===== %s =====\n%!" name
 
-(* ---- Figures ------------------------------------------------------------- *)
-
-let fig4 ~quick () =
-  banner "Figure 4: SIBENCH transaction throughput (normalized to SI)";
-  let sizes = if quick then [ 10; 100; 1000 ] else [ 10; 30; 100; 300; 1000; 3000 ] in
-  let duration = if quick then 1.0 else 3.0 in
-  let ms = Experiments.fig4 ~sizes ~duration () in
-  print_string (Experiments.render_normalized ~title:"" ~x_header:"table size (rows)" ms)
-
-let fig5a ~quick () =
-  banner "Figure 5a: DBT-2++ throughput, in-memory configuration (normalized to SI)";
-  let fractions = if quick then [ 0.; 0.5; 1.0 ] else [ 0.; 0.2; 0.4; 0.6; 0.8; 1.0 ] in
-  let warehouses = if quick then 4 else 25 in
-  let duration = if quick then 1.0 else 3.0 in
-  let ms = Experiments.fig5a ~fractions ~warehouses ~duration () in
-  print_string
-    (Experiments.render_normalized ~title:"" ~x_header:"read-only fraction" ms)
-
-let fig5b ~quick () =
-  banner "Figure 5b: DBT-2++ throughput, disk-bound configuration (normalized to SI)";
-  let fractions = if quick then [ 0.; 0.5; 1.0 ] else [ 0.; 0.2; 0.4; 0.6; 0.8; 1.0 ] in
-  let warehouses = if quick then 8 else 60 in
-  let duration = if quick then 5.0 else 20.0 in
-  let workers = if quick then 12 else 36 in
-  let ms = Experiments.fig5b ~fractions ~warehouses ~duration ~workers () in
-  print_string
-    (Experiments.render_normalized ~title:"" ~x_header:"read-only fraction" ms)
-
-let fig6 ~quick () =
-  banner "Figure 6: RUBiS web application benchmark";
-  let users = if quick then 100 else 400 in
-  let items = if quick then 120 else 450 in
-  let duration = if quick then 1.0 else 4.0 in
-  let ms = Experiments.fig6 ~users ~items ~duration () in
-  print_string (Experiments.render_fig6 ms)
-
-let defer ~quick () =
-  banner "Deferrable transactions (§8.4): time to obtain a safe snapshot";
-  let samples = if quick then 15 else 60 in
-  let r = Experiments.deferrable ~samples () in
-  print_string (Experiments.render_deferrable r)
-
-let ablations ~quick () =
-  banner "Ablation: SIREAD granularity-promotion threshold (DBT-2++, SSI)";
-  let duration = if quick then 1.0 else 2.0 in
-  print_string
-    (Experiments.render_ablation ~title:"" ~x_header:"locks before promotion"
-       (Experiments.ablation_promotion ~duration ()));
-  banner "Ablation: retained committed transactions before summarization (DBT-2++, SSI)";
-  print_string
-    (Experiments.render_ablation ~title:"" ~x_header:"max committed sxacts"
-       (Experiments.ablation_summarization ~duration ()));
-  banner "Ablation: index-gap lock granularity (DBT-2++, SSI; §5.2.1 future work)";
-  print_string
-    (Experiments.render_ablation ~title:"" ~x_header:"gap locks"
-       (Experiments.ablation_nextkey ~duration ()))
-
-let walgroup ~quick () =
-  banner "Group commit: throughput vs commit latency across flush intervals (SIBENCH, SSI)";
-  let duration = if quick then 1.0 else 3.0 in
-  let intervals = if quick then [ 0.; 2e-4 ] else [ 0.; 5e-5; 2e-4; 1e-3 ] in
-  let ms = Experiments.group_commit ~intervals ~duration () in
-  print_string (Experiments.render_latency ~title:"flush interval:" ms);
-  print_string
-    "(sync = flush on every append; longer intervals batch more commits per\n\
-    \ flush and shift the cost into commit latency — see wal.group_commit_size)\n"
-
 (* ---- Machine-readable output --------------------------------------------------- *)
 
 (* One BENCH_<workload>.json per workload: throughput, latency percentiles
    and SSI metric deltas per isolation mode, for CI artifacts and plotting
    scripts.  The same measurements are also printed as a latency table. *)
 
-(* The json workloads double as the regression-gate corpus, so their
-   parameters live in one place: the baselines committed under
-   bench/baselines/ were generated by [json quick] and [regress quick]
-   must rerun the exact same configurations. *)
-let run_json_workload ?(certifier = Certifier.SSI) ~duration name ~setup ~specs modes =
+(* The json workloads double as the regression-gate corpus: the baselines
+   committed under bench/baselines/ were generated by [json quick], which
+   [regress quick] reruns before comparing. *)
+let run_json_workload ~certifier ~duration name ~setup ~specs modes =
   List.map
     (fun mode ->
       let bench =
@@ -226,10 +155,12 @@ let json_workloads ~quick () =
   in
   (duration, entries)
 
-let bench_json ~quick () =
+(* Runs the corpus, printing each workload's latency table, and returns
+   the files written. *)
+let write_json ~quick () =
   banner "Machine-readable summaries (BENCH_<workload>.json)";
   let duration, workloads = json_workloads ~quick () in
-  List.iter
+  List.map
     (fun (name, run) ->
       let ms = run () in
       print_string (Experiments.render_latency ~title:(name ^ ":") ms);
@@ -237,7 +168,8 @@ let bench_json ~quick () =
       let oc = open_out file in
       output_string oc (Experiments.bench_json ~workload:name ~duration ms);
       close_out oc;
-      Printf.printf "wrote %s\n%!" file)
+      Printf.printf "wrote %s\n%!" file;
+      file)
     workloads
 
 (* ---- §8.1 microbenchmarks: real CPU cost of read tracking ------------------- *)
@@ -249,12 +181,6 @@ let bench_json ~quick () =
 
 let micro_rows = 500
 
-let make_db isolation_unused =
-  ignore isolation_unused;
-  let db = E.create () in
-  Sibench.setup ~rows:micro_rows db;
-  db
-
 let micro_tests () =
   let open Bechamel in
   let rng = Ssi_util.Rng.make 99 in
@@ -263,7 +189,8 @@ let micro_tests () =
      snapshot (§4.2) and would skip the read tracking this microbenchmark
      is measuring. *)
   let test_of name isolation kind =
-    let db = make_db () in
+    let db = E.create () in
+    Sibench.setup ~rows:micro_rows db;
     Test.make ~name
       (Staged.stage (fun () ->
            match kind with
@@ -327,20 +254,19 @@ let micro () =
 
 (* ---- Regression gate ------------------------------------------------------------ *)
 
-(* Rerun the json workloads and compare virtual-clock throughput against
-   the committed baselines in bench/baselines/ (override the directory
-   with BENCH_BASELINE_DIR).  The simulation is deterministic, so the 15%
-   tolerance only has to absorb intentional behavior changes, never noise.
-   Writes BENCH_REGRESSION.md (the CI artifact) and exits non-zero on a
-   regression.  The wall-clock Bechamel micro numbers are appended to the
-   report as information only — they depend on the machine running the
-   gate. *)
+(* [json], then compare each file it wrote against its namesake in
+   bench/baselines/ (override the directory with BENCH_BASELINE_DIR).  Both
+   sides go through the same parser, so the rows are keyed exactly as
+   [Experiments.bench_json] keyed them.  The simulation is deterministic,
+   so the 15% tolerance only has to absorb intentional behavior changes,
+   never noise.  Writes BENCH_REGRESSION.md (the CI artifact) and exits
+   non-zero on a regression. *)
 
 let regress_tolerance = 0.15
 
 let regress ~quick () =
+  let files = write_json ~quick () in
   banner "Benchmark regression gate (virtual-clock throughput vs committed baselines)";
-  let _, workloads = json_workloads ~quick () in
   let baseline_dir =
     match Sys.getenv_opt "BENCH_BASELINE_DIR" with
     | Some d -> d
@@ -348,45 +274,13 @@ let regress ~quick () =
   in
   let comparisons =
     List.concat_map
-      (fun (name, run) ->
-        let ms = run () in
-        let current =
-          {
-            Bench_compare.workload = name;
-            modes =
-              List.map
-                (fun m ->
-                  {
-                    (* Mirrors [Experiments.bench_json]'s mode key: x-keyed
-                       sweeps (nonzero x_value) compare by x_label. *)
-                    Bench_compare.mode =
-                      (if m.Experiments.x_value <> 0. then m.Experiments.x_label
-                       else Driver.mode_name m.Experiments.mode);
-                    throughput_tps = m.Experiments.result.Driver.throughput;
-                    committed = m.Experiments.result.Driver.committed;
-                    failure_rate = m.Experiments.result.Driver.failure_rate;
-                    p99_s = m.Experiments.result.Driver.latency_p99;
-                  })
-                ms;
-          }
-        in
-        let file = Filename.concat baseline_dir (Printf.sprintf "BENCH_%s.json" name) in
-        let baseline = Bench_compare.load_summary file in
-        Bench_compare.compare_summaries ~tolerance:regress_tolerance ~baseline ~current ())
-      workloads
+      (fun file ->
+        Bench_compare.compare_summaries ~tolerance:regress_tolerance
+          ~baseline:(Bench_compare.load_summary (Filename.concat baseline_dir file))
+          ~current:(Bench_compare.load_summary file) ())
+      files
   in
-  let report = Buffer.create 2048 in
-  Buffer.add_string report
-    (Bench_compare.render_report ~tolerance:regress_tolerance comparisons);
-  Buffer.add_string report
-    "\n## Microbenchmarks (wall clock, informational)\n\n\
-     Machine-dependent; not part of the gate.\n\n\
-     | transaction | ns/txn |\n|---|---:|\n";
-  List.iter
-    (fun (name, ns) ->
-      Buffer.add_string report (Printf.sprintf "| %s | %.0f |\n" name ns))
-    (micro_results ());
-  let report = Buffer.contents report in
+  let report = Bench_compare.render_report ~tolerance:regress_tolerance comparisons in
   print_string report;
   let oc = open_out "BENCH_REGRESSION.md" in
   output_string oc report;
@@ -405,23 +299,19 @@ let () =
   let args = List.filter (fun a -> a <> "quick") args in
   (* [regress] is opt-in only: it needs committed baselines and exits
      non-zero on a regression. *)
-  let all = [ "fig4"; "fig5a"; "fig5b"; "fig6"; "defer"; "abl"; "walgroup"; "json"; "micro" ] in
+  let all = List.map fst Experiments.all @ [ "json"; "micro" ] in
   let known = all @ [ "regress" ] in
   let selected = if args = [] then all else args in
   List.iter
     (fun name ->
-      match name with
-      | "fig4" -> fig4 ~quick ()
-      | "fig5a" -> fig5a ~quick ()
-      | "fig5b" -> fig5b ~quick ()
-      | "fig6" -> fig6 ~quick ()
-      | "defer" -> defer ~quick ()
-      | "abl" -> ablations ~quick ()
-      | "walgroup" -> walgroup ~quick ()
-      | "json" -> bench_json ~quick ()
-      | "micro" -> micro ()
-      | "regress" -> regress ~quick ()
-      | other ->
+      match (List.assoc_opt name Experiments.all, name) with
+      | Some run, _ ->
+          print_string (run ~quick);
+          flush stdout
+      | None, "json" -> ignore (write_json ~quick ())
+      | None, "micro" -> micro ()
+      | None, "regress" -> regress ~quick ()
+      | None, other ->
           Printf.eprintf "unknown experiment %S (expected: %s)\n" other
             (String.concat ", " known);
           exit 1)

@@ -1,8 +1,6 @@
 (* pg_ssi: command-line front end.
 
      pg_ssi demo                          -- write-skew walkthrough (paper Figure 1)
-     pg_ssi bench <fig4|fig5a|fig5b|fig6|defer> [--quick]
-                                          -- regenerate a table or figure from the paper
      pg_ssi workload <sibench|tpcc|rubis> --mode <si|ssi|ssi-noro|s2pl>
                                           -- run one configuration, report its numbers
      pg_ssi stats <sibench|tpcc|rubis>    -- run, then dump the metric registry
@@ -26,7 +24,7 @@
    runs its scenario twice and exits non-zero unless the scenario's
    checks held and the replay was byte-identical.
 
-   The bench subcommand prints the same tables as bench/main.exe; the
+   The paper's tables and figures come from bench/main.exe; the
    workload subcommand runs a single configuration and reports its
    numbers, which is handy for ad-hoc comparisons.  stats and trace run
    the same workloads but expose the observability core: every counter,
@@ -78,49 +76,6 @@ let run_demo () =
     (if c1 then "committed" else "aborted")
     (if c2 then "committed" else "aborted")
     left;
-  0
-
-(* ---- bench -------------------------------------------------------------- *)
-
-let run_bench name quick =
-  (match name with
-  | "fig4" ->
-      let sizes = if quick then [ 10; 100; 1000 ] else [ 10; 30; 100; 300; 1000; 3000 ] in
-      let ms = Experiments.fig4 ~sizes ~duration:(if quick then 1.0 else 3.0) () in
-      print_string
-        (Experiments.render_normalized ~title:"Figure 4: SIBENCH"
-           ~x_header:"table size (rows)" ms)
-  | "fig5a" ->
-      let ms =
-        Experiments.fig5a
-          ~fractions:(if quick then [ 0.; 0.5; 1.0 ] else [ 0.; 0.2; 0.4; 0.6; 0.8; 1.0 ])
-          ~duration:(if quick then 1.0 else 3.0)
-          ()
-      in
-      print_string
-        (Experiments.render_normalized ~title:"Figure 5a: DBT-2++ (in-memory)"
-           ~x_header:"read-only fraction" ms)
-  | "fig5b" ->
-      let ms =
-        Experiments.fig5b
-          ~fractions:(if quick then [ 0.; 0.5; 1.0 ] else [ 0.; 0.2; 0.4; 0.6; 0.8; 1.0 ])
-          ~duration:(if quick then 5.0 else 20.0)
-          ~warehouses:(if quick then 8 else 60)
-          ~workers:(if quick then 12 else 36)
-          ()
-      in
-      print_string
-        (Experiments.render_normalized ~title:"Figure 5b: DBT-2++ (disk-bound)"
-           ~x_header:"read-only fraction" ms)
-  | "fig6" ->
-      let ms = Experiments.fig6 ~duration:(if quick then 1.0 else 4.0) () in
-      print_string (Experiments.render_fig6 ms)
-  | "defer" ->
-      let r = Experiments.deferrable ~samples:(if quick then 15 else 60) () in
-      print_string (Experiments.render_deferrable r)
-  | other ->
-      Format.eprintf "unknown experiment %s@." other;
-      exit 1);
   0
 
 (* ---- workload ------------------------------------------------------------ *)
@@ -417,15 +372,6 @@ let run_sql script_file =
 let demo_cmd =
   Cmd.v (Cmd.info "demo" ~doc:"Write-skew walkthrough (paper Figure 1)")
     Term.(const run_demo $ const ())
-
-let bench_cmd =
-  let exp_arg =
-    Arg.(required & pos 0 (some string) None
-         & info [] ~docv:"EXPERIMENT" ~doc:"fig4, fig5a, fig5b, fig6 or defer")
-  in
-  let quick_arg = Arg.(value & flag & info [ "quick" ] ~doc:"Reduced problem sizes") in
-  Cmd.v (Cmd.info "bench" ~doc:"Regenerate a table or figure from the paper (§8)")
-    Term.(const run_bench $ exp_arg $ quick_arg)
 
 let wl_arg =
   let names = List.map (fun (name, _) -> (name, name)) workloads in
@@ -766,7 +712,6 @@ let () =
        (Cmd.group info
           [
             demo_cmd;
-            bench_cmd;
             workload_cmd;
             stats_cmd;
             monitor_cmd;

@@ -4,9 +4,7 @@
    The workloads run on the discrete-event simulator's virtual clock, so
    their throughput numbers are a deterministic function of the seed: any
    delta against a committed baseline is a real behavior change, not
-   scheduling noise, and the gate can be tight without flaking.  Wall-clock
-   microbenchmark numbers (Bechamel) are machine-dependent and are carried
-   in the report as information only.
+   scheduling noise, and the gate can be tight without flaking.
 
    No JSON library ships with the repo, so this module includes a minimal
    recursive-descent parser covering exactly the JSON subset the harness
@@ -242,7 +240,7 @@ let load_summary file =
 
 (* ---- Comparison ------------------------------------------------------------------- *)
 
-type verdict = Ok_within_tolerance | Regressed | Improved | Missing_baseline
+type verdict = Ok_within_tolerance | Regressed | Improved | Missing_baseline | Missing_current
 
 type comparison = {
   c_workload : string;
@@ -268,6 +266,28 @@ type comparison = {
    the bounded histogram with a documented ±1% relative error, so the
    slack is for the workload, not the measurement. *)
 let compare_summaries ~tolerance ?(latency_tolerance = 0.25) ~baseline ~current () =
+  (* A baseline row the current run no longer produces is a failure: a
+     vanished mode or shard count must not pass the gate unnoticed. *)
+  let vanished =
+    List.filter_map
+      (fun b ->
+        if List.exists (fun cur -> cur.mode = b.mode) current.modes then None
+        else
+          Some
+            {
+              c_workload = current.workload;
+              c_mode = b.mode;
+              baseline_tps = b.throughput_tps;
+              current_tps = nan;
+              delta_pct = nan;
+              verdict = Missing_current;
+              baseline_p99 = b.p99_s;
+              current_p99 = nan;
+              p99_delta_pct = nan;
+              p99_verdict = Missing_current;
+            })
+      baseline.modes
+  in
   List.map
     (fun cur ->
       match List.find_opt (fun b -> b.mode = cur.mode) baseline.modes with
@@ -327,15 +347,18 @@ let compare_summaries ~tolerance ?(latency_tolerance = 0.25) ~baseline ~current 
             p99_verdict;
           })
     current.modes
+  @ vanished
 
 let any_regression comparisons =
-  List.exists (fun c -> c.verdict = Regressed || c.p99_verdict = Regressed) comparisons
+  let failing v = v = Regressed || v = Missing_current in
+  List.exists (fun c -> failing c.verdict || failing c.p99_verdict) comparisons
 
 let verdict_name = function
   | Ok_within_tolerance -> "ok"
   | Regressed -> "REGRESSED"
   | Improved -> "improved"
   | Missing_baseline -> "no baseline"
+  | Missing_current -> "MISSING"
 
 let render_report ~tolerance comparisons =
   let buf = Buffer.create 1024 in
@@ -349,22 +372,21 @@ let render_report ~tolerance comparisons =
     "| workload | mode | baseline tps | current tps | delta | verdict | baseline p99 \
      | current p99 | p99 delta | p99 verdict |\n";
   Buffer.add_string buf "|---|---|---:|---:|---:|---|---:|---:|---:|---|\n";
+  let tps v = if Float.is_nan v then "-" else Printf.sprintf "%.1f" v in
   let lat v = if Float.is_nan v then "-" else Printf.sprintf "%.6f" v in
   let pct v = if Float.is_nan v then "n/a" else Printf.sprintf "%+.1f%%" v in
   List.iter
     (fun c ->
       Buffer.add_string buf
-        (Printf.sprintf "| %s | %s | %s | %.1f | %s | %s | %s | %s | %s | %s |\n"
-           c.c_workload c.c_mode
-           (if Float.is_nan c.baseline_tps then "-" else Printf.sprintf "%.1f" c.baseline_tps)
-           c.current_tps (pct c.delta_pct) (verdict_name c.verdict) (lat c.baseline_p99)
+        (Printf.sprintf "| %s | %s | %s | %s | %s | %s | %s | %s | %s | %s |\n"
+           c.c_workload c.c_mode (tps c.baseline_tps) (tps c.current_tps) (pct c.delta_pct) (verdict_name c.verdict) (lat c.baseline_p99)
            (lat c.current_p99) (pct c.p99_delta_pct) (verdict_name c.p99_verdict)))
     comparisons;
   Buffer.add_char buf '\n';
   if any_regression comparisons then
     Buffer.add_string buf
       "**FAIL**: at least one mode regressed beyond tolerance (throughput or\n\
-       p99).  If the drop is an accepted trade-off, refresh the baselines\n\
+       p99) or is MISSING from the current run.  If the drop is an accepted trade-off, refresh the baselines\n\
        (see EXPERIMENTS.md, \"Performance trajectory\").\n"
   else
     Buffer.add_string buf "All modes within tolerance.\n";

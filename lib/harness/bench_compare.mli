@@ -47,7 +47,13 @@ val load_summary : string -> summary
 
 (** {1 Comparison} *)
 
-type verdict = Ok_within_tolerance | Regressed | Improved | Missing_baseline
+type verdict =
+  | Ok_within_tolerance
+  | Regressed
+  | Improved
+  | Missing_baseline
+  | Missing_current
+      (** the baseline has the row, the current run does not: a failure *)
 
 type comparison = {
   c_workload : string;
@@ -81,10 +87,12 @@ val compare_summaries :
     failure).  [latency_tolerance] (default [0.25]) gates p99 in the
     opposite direction — an increase is the regression; the percentile
     itself carries only the histogram's ±1% relative error, so the slack
-    absorbs workload shifts, not measurement noise. *)
+    absorbs workload shifts, not measurement noise.  Every baseline row
+    absent from [current] is appended as [Missing_current]. *)
 
 val any_regression : comparison list -> bool
-(** True when any mode regressed on throughput {e or} p99. *)
+(** True when any mode regressed on throughput {e or} p99, or is
+    [Missing_current]. *)
 
 val verdict_name : verdict -> string
 

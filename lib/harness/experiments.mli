@@ -1,10 +1,10 @@
-(** One experiment per table and figure of the paper's evaluation (§8).
+(** The experiment catalogue: one entry per table and figure of the paper's
+    evaluation (§8), plus the design ablations.
 
-    Each experiment returns structured measurements; the [render_*]
-    functions produce the text tables printed by [bench/main.exe].
+    Each entry owns its quick and full parameters, its banner and its
+    renderer; [bench/main.exe <name> [quick]] prints what it returns.
     Throughput series are normalized to snapshot isolation, exactly as the
-    paper's figures plot them.  Parameters default to values sized for a
-    few-minute run; tests override them with smaller ones. *)
+    paper's figures plot them. *)
 
 open Ssi_workload
 
@@ -15,108 +15,38 @@ type measurement = {
   result : Driver.result;
 }
 
-(** {1 Figure 4: SIBENCH} *)
+val all : (string * (quick:bool -> string)) list
+(** In order:
+    - [fig4]: Figure 4, SIBENCH throughput vs table size for SI / SSI /
+      SSI without the read-only optimizations / S2PL, in-memory cost model.
+    - [fig5a]: Figure 5a, DBT-2++ throughput vs read-only fraction,
+      in-memory configuration (paper: 25 warehouses, 4 clients, tmpfs).
+    - [fig5b]: Figure 5b, the same sweep disk-bound (paper: 150
+      warehouses, 36 clients, RAID array), without the
+      SSI-without-read-only-optimization series, as in the paper.
+    - [fig6]: Figure 6, RUBiS bidding mix: throughput and
+      serialization-failure rate for SI, SSI and S2PL.
+    - [defer]: §8.4, latency to obtain a safe snapshot for DEFERRABLE
+      transactions started once per simulated second under the DBT-2++
+      disk-bound workload (8% read-only).
+    - [abl]: three SSI-vs-SI ablations, all on DBT-2++: the SIREAD
+      granularity-promotion threshold (§5.2.1, §6 technique 2), the
+      retained-committed-transaction limit before summarization (§6.2),
+      and page vs next-key index-gap locking (§5.2.1 future work).
+    - [walgroup]: SIBENCH under SSI with a durable log, sweeping the
+      group-commit flush interval against commit latency.
 
-val fig4 :
-  ?sizes:int list -> ?duration:float -> ?workers:int -> ?cores:int -> unit -> measurement list
-(** SIBENCH throughput vs. table size for SI / SSI / SSI-without-read-only
-    optimizations / S2PL, in-memory cost model. *)
-
-(** {1 Figure 5: DBT-2++} *)
-
-val fig5a :
-  ?fractions:float list -> ?warehouses:int -> ?duration:float -> ?workers:int ->
-  ?cores:int -> unit -> measurement list
-(** In-memory configuration: throughput vs. fraction of read-only
-    transactions (paper: 25 warehouses, 4 clients, tmpfs). *)
-
-val fig5b :
-  ?fractions:float list -> ?warehouses:int -> ?duration:float -> ?workers:int ->
-  ?cores:int -> ?disks:int -> unit -> measurement list
-(** Disk-bound configuration (paper: 150 warehouses, 36 clients, RAID
-    array).  The SSI-without-read-only-optimization series is omitted, as
-    in the paper's Figure 5b. *)
-
-(** {1 Figure 6: RUBiS} *)
-
-val fig6 :
-  ?users:int -> ?items:int -> ?duration:float -> ?workers:int -> ?cores:int -> unit ->
-  measurement list
-(** RUBiS bidding mix: absolute throughput and serialization-failure rate
-    for SI, SSI and S2PL. *)
-
-(** {1 §8.4: deferrable transactions} *)
-
-type deferrable_result = {
-  samples : int;
-  median_s : float;
-  p90_s : float;
-  max_s : float;
-  latencies : Ssi_util.Stats.t;
-}
-
-val deferrable :
-  ?samples:int -> ?warehouses:int -> ?workers:int -> ?cores:int -> ?disks:int -> unit ->
-  deferrable_result
-(** Latency to obtain a safe snapshot for DEFERRABLE transactions started
-    once per simulated second while the DBT-2++ disk-bound workload (8%
-    read-only) runs. *)
-
-(** {1 Ablations (design choices called out in DESIGN.md)} *)
-
-val ablation_promotion :
-  ?thresholds:int list -> ?rows:int -> ?duration:float -> unit -> measurement list
-(** Sweep the SIREAD granularity-promotion threshold on SIBENCH under SSI:
-    aggressive promotion saves lock-table memory at the cost of
-    false-positive aborts (§5.2.1, §6 technique 2).  [x_label] is the
-    threshold; the SI measurement at each x provides the baseline. *)
-
-val ablation_summarization :
-  ?limits:int list -> ?warehouses:int -> ?duration:float -> unit -> measurement list
-(** Sweep [max_committed_sxacts] on DBT-2++ under SSI: smaller tables force
-    more summarization, trading memory for extra false positives (§6.2). *)
-
-val ablation_nextkey :
-  ?warehouses:int -> ?duration:float -> unit -> measurement list
-(** Compare page-granularity and next-key index-gap locking under SSI on
-    DBT-2++ (§5.2.1 future work, implemented here): next-key gaps flag
-    fewer false conflicts. *)
-
-(** {1 Durability: group commit} *)
-
-val group_commit :
-  ?intervals:float list -> ?rows:int -> ?duration:float -> ?workers:int -> ?cores:int ->
-  unit -> measurement list
-(** SIBENCH under SSI with a durable log attached, sweeping the
-    group-commit flush interval: [0.] flushes synchronously on every
-    append; longer intervals batch more commits per flush (higher
-    throughput per fsync) at the cost of commit latency, which
-    {!render_latency} makes visible.  [x_label] is the interval ("sync"
-    for 0). *)
-
-val render_ablation : title:string -> x_header:string -> measurement list -> string
-(** Rows = x values; columns = throughput and failure rate of the SSI run
-    (normalized against the SI run at the same x when present). *)
-
-(** {1 Rendering} *)
-
-val render_normalized : title:string -> x_header:string -> measurement list -> string
-(** Rows = x values; columns = modes, as throughput normalized to SI
-    (SI column shows absolute committed tx/s for reference). *)
-
-val render_fig6 : measurement list -> string
-val render_deferrable : deferrable_result -> string
+    [~quick:true] selects the reduced sizes CI and smoke runs use. *)
 
 val render_latency : title:string -> measurement list -> string
 (** Rows = measurements; columns = throughput, nearest-rank p50/p95/p99
-    client latency (virtual seconds) and failure rate. *)
+    client latency (virtual seconds) and failure rate.  A leading x column
+    appears when the measurements span more than one [x_label]. *)
 
 val bench_json : workload:string -> duration:float -> measurement list -> string
 (** One JSON object — [{"workload";"duration_s";"modes":[...]}] — with
     per-mode throughput, latency percentiles and SSI metric deltas.
-    Non-finite numbers render as [null].  Written by [bench/main.exe] to
-    [BENCH_<workload>.json]. *)
-
-val normalized_throughput : measurement list -> x_label:string -> Driver.mode -> float
-(** Helper for tests: throughput of [mode] at [x_label], normalized to the
-    SI measurement at the same x. *)
+    Non-finite numbers render as [null].  A row's ["mode"] key is its
+    [x_label] when [x_value] is nonzero (x-keyed sweeps such as shard
+    counts), otherwise the isolation mode's name.  Written by
+    [bench/main.exe] to [BENCH_<workload>.json]. *)

@@ -1,6 +1,7 @@
 (* Workload generators and the benchmark driver: smoke tests that each mix
    runs under the simulator in every concurrency-control mode, preserves
-   its invariants, and produces sane measurements. *)
+   its invariants, and produces sane measurements; and the regression
+   gate's comparison over the summaries the driver's results become. *)
 
 open Ssi_workload
 module E = Ssi_engine.Engine
@@ -127,6 +128,90 @@ let test_deterministic () =
   Alcotest.(check int) "same commit count" a.Driver.committed b.Driver.committed;
   Alcotest.(check int) "same failures" a.Driver.failures b.Driver.failures
 
+(* ---- Bench_compare: the regression gate over BENCH_<workload>.json ---- *)
+
+module BC = Ssi_harness.Bench_compare
+
+let row ?(p99 = 0.01) mode tps =
+  { BC.mode; throughput_tps = tps; committed = 100; failure_rate = 0.; p99_s = p99 }
+
+let compare_one ~baseline current =
+  BC.compare_summaries ~tolerance:0.15
+    ~baseline:{ BC.workload = "w"; modes = [ baseline ] }
+    ~current:{ BC.workload = "w"; modes = [ current ] }
+    ()
+
+let verdicts comps = List.map (fun c -> BC.verdict_name c.BC.verdict) comps
+
+let test_throughput_tolerance () =
+  let verdict tps = verdicts (compare_one ~baseline:(row "SSI" 100.) (row "SSI" tps)) in
+  Alcotest.(check (list string)) "-15.1% regressed" [ "REGRESSED" ] (verdict 84.9);
+  Alcotest.(check (list string)) "-14.9% ok" [ "ok" ] (verdict 85.1);
+  Alcotest.(check (list string)) "+14.9% ok" [ "ok" ] (verdict 114.9);
+  Alcotest.(check (list string)) "+15.1% improved" [ "improved" ] (verdict 115.1);
+  Alcotest.(check bool) "only the drop fails the gate" true
+    (BC.any_regression (compare_one ~baseline:(row "SSI" 100.) (row "SSI" 84.9))
+    && not (BC.any_regression (compare_one ~baseline:(row "SSI" 100.) (row "SSI" 115.1))))
+
+let test_placeholder_baseline () =
+  let comps = compare_one ~baseline:(row "SSI" 0.) (row "SSI" 50.) in
+  Alcotest.(check (list string)) "0.0 reads as no baseline" [ "no baseline" ] (verdicts comps);
+  Alcotest.(check bool) "delta is n/a" true (Float.is_nan (List.hd comps).BC.delta_pct);
+  Alcotest.(check bool) "not a regression" false (BC.any_regression comps)
+
+let test_p99_gate () =
+  let p99_verdict p99 =
+    let comps = compare_one ~baseline:(row "SSI" 100.) (row ~p99 "SSI" 100.) in
+    (BC.verdict_name (List.hd comps).BC.p99_verdict, BC.any_regression comps)
+  in
+  Alcotest.(check (pair string bool)) "+26% p99 regresses" ("REGRESSED", true)
+    (p99_verdict 0.0126);
+  Alcotest.(check (pair string bool)) "+24% p99 ok" ("ok", false) (p99_verdict 0.0124);
+  Alcotest.(check (pair string bool)) "-26% p99 improved" ("improved", false)
+    (p99_verdict 0.0074)
+
+let test_missing_row_fails () =
+  let comps =
+    BC.compare_summaries ~tolerance:0.15
+      ~baseline:{ BC.workload = "rubis"; modes = [ row "SI" 100.; row "S2PL" 50. ] }
+      ~current:{ BC.workload = "rubis"; modes = [ row "SI" 100. ] }
+      ()
+  in
+  Alcotest.(check (list string)) "every baseline row reported" [ "SI"; "S2PL" ]
+    (List.map (fun c -> c.BC.c_mode) comps);
+  Alcotest.(check bool) "a vanished row fails the gate" true (BC.any_regression comps)
+
+let test_bench_json_round_trip () =
+  let result =
+    Driver.run ~setup:(Sibench.setup ~rows:30)
+      ~specs:(Sibench.specs ~rows:30 ~chunk:10 ())
+      (small_bench Driver.SSI)
+  in
+  let point n =
+    {
+      Ssi_harness.Experiments.x_label = Printf.sprintf "shards-%d" n;
+      x_value = float_of_int n;
+      mode = Driver.SSI;
+      result;
+    }
+  in
+  let file = Filename.temp_file "bench" ".json" in
+  let oc = open_out file in
+  output_string oc
+    (Ssi_harness.Experiments.bench_json ~workload:"sharded" ~duration:0.3 [ point 1; point 2 ]);
+  close_out oc;
+  let summary = BC.load_summary file in
+  Sys.remove file;
+  Alcotest.(check string) "workload" "sharded" summary.BC.workload;
+  Alcotest.(check (list string)) "rows keyed by x_label" [ "shards-1"; "shards-2" ]
+    (List.map (fun m -> m.BC.mode) summary.BC.modes);
+  List.iter
+    (fun m ->
+      Alcotest.(check int) "committed" result.Driver.committed m.BC.committed;
+      Alcotest.(check (float 1e-6)) "throughput" 1.
+        (m.BC.throughput_tps /. result.Driver.throughput))
+    summary.BC.modes
+
 let () =
   Alcotest.run "workload"
     [
@@ -146,4 +231,12 @@ let () =
           Alcotest.test_case "bid counters consistent" `Quick test_rubis_bid_monotone;
         ] );
       ("driver", [ Alcotest.test_case "deterministic" `Quick test_deterministic ]);
+      ( "bench_compare",
+        [
+          Alcotest.test_case "throughput tolerance" `Quick test_throughput_tolerance;
+          Alcotest.test_case "placeholder baseline" `Quick test_placeholder_baseline;
+          Alcotest.test_case "p99 gate" `Quick test_p99_gate;
+          Alcotest.test_case "missing row fails" `Quick test_missing_row_fails;
+          Alcotest.test_case "bench_json round trip" `Quick test_bench_json_round_trip;
+        ] );
     ]
