@@ -177,41 +177,41 @@ let write_json ~quick () =
 (* Bechamel measures the actual wall-clock cost of one SIBENCH query or
    update transaction per isolation level on this machine — the real-OCaml
    counterpart of the paper's "tracking read dependencies has a CPU
-   overhead of 10-20%" claim. *)
+   overhead of 10-20%" claim.  Wall time is noisy from run to run, so
+   each transaction's exact minor-heap words are reported beside it. *)
 
 let micro_rows = 500
 
-let micro_tests () =
-  let open Bechamel in
+(* The measured transactions, each on a fresh database of its own. *)
+let micro_txns () =
   let rng = Ssi_util.Rng.make 99 in
   (* The query is NOT declared READ ONLY (except in the "safe" variant):
      an idle declared-read-only transaction is immediately granted a safe
      snapshot (§4.2) and would skip the read tracking this microbenchmark
      is measuring. *)
-  let test_of name isolation kind =
+  let txn_of name isolation kind =
     let db = E.create () in
     Sibench.setup ~rows:micro_rows db;
-    Test.make ~name
-      (Staged.stage (fun () ->
-           match kind with
-           | `Query ->
-               E.with_txn ~isolation db (fun t ->
-                   ignore (Sibench.query_min ~rows:micro_rows ~chunk:100 t))
-           | `Query_ro ->
-               E.with_txn ~isolation ~read_only:true db (fun t ->
-                   ignore (Sibench.query_min ~rows:micro_rows ~chunk:100 t))
-           | `Update ->
-               E.with_txn ~isolation db (fun t ->
-                   Sibench.update_one rng ~rows:micro_rows t)))
+    ( name,
+      fun () ->
+        match kind with
+        | `Query ->
+            E.with_txn ~isolation db (fun t ->
+                ignore (Sibench.query_min ~rows:micro_rows ~chunk:100 t))
+        | `Query_ro ->
+            E.with_txn ~isolation ~read_only:true db (fun t ->
+                ignore (Sibench.query_min ~rows:micro_rows ~chunk:100 t))
+        | `Update ->
+            E.with_txn ~isolation db (fun t -> Sibench.update_one rng ~rows:micro_rows t) )
   in
   [
-    test_of "query/SI" E.Repeatable_read `Query;
-    test_of "query/SSI" E.Serializable `Query;
-    test_of "query/SSI-safe" E.Serializable `Query_ro;
-    test_of "query/S2PL" E.Serializable_2pl `Query;
-    test_of "update/SI" E.Repeatable_read `Update;
-    test_of "update/SSI" E.Serializable `Update;
-    test_of "update/S2PL" E.Serializable_2pl `Update;
+    txn_of "query/SI" E.Repeatable_read `Query;
+    txn_of "query/SSI" E.Serializable `Query;
+    txn_of "query/SSI-safe" E.Serializable `Query_ro;
+    txn_of "query/S2PL" E.Serializable_2pl `Query;
+    txn_of "update/SI" E.Repeatable_read `Update;
+    txn_of "update/SSI" E.Serializable `Update;
+    txn_of "update/S2PL" E.Serializable_2pl `Update;
   ]
 
 let micro_results () =
@@ -223,8 +223,8 @@ let micro_results () =
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in
   let results = ref [] in
   List.iter
-    (fun test ->
-      let raw = Benchmark.all cfg [ instance ] test in
+    (fun (name, run) ->
+      let raw = Benchmark.all cfg [ instance ] (Test.make ~name (Staged.stage run)) in
       let analyzed = Analyze.all ols instance raw in
       Hashtbl.iter
         (fun name ols_result ->
@@ -232,25 +232,43 @@ let micro_results () =
           | Some [ ns ] -> results := (name, ns) :: !results
           | Some _ | None -> ())
         analyzed)
-    (micro_tests ());
+    (micro_txns ());
   List.sort compare !results
 
+(* Exact minor-heap words per transaction: the mean of 200 runs after one
+   warm-up, each transaction on its own fresh database, so the figures
+   are the same on every run of one build. *)
+let micro_words () =
+  let runs = 200 in
+  List.map
+    (fun (name, run) ->
+      run ();
+      let w0 = Gc.minor_words () in
+      for _ = 1 to runs do
+        run ()
+      done;
+      (name, (Gc.minor_words () -. w0) /. float_of_int runs))
+    (micro_txns ())
+
 let micro () =
-  banner "Microbenchmark (§8.1): wall-clock cost per transaction by isolation level";
+  banner "Microbenchmark (§8.1): cost per transaction by isolation level";
+  let words = micro_words () in
   let results = micro_results () in
-  let find name = try List.assoc name results with Not_found -> nan in
-  Printf.printf "%-18s %12s %10s\n" "transaction" "ns/txn" "vs SI";
+  let vs_si table name x =
+    let si = if String.starts_with ~prefix:"query" name then "query/SI" else "update/SI" in
+    x /. (try List.assoc si table with Not_found -> nan)
+  in
+  Printf.printf "%-18s %12s %10s %12s %10s\n" "transaction" "ns/txn" "vs SI" "words/txn" "vs SI";
   List.iter
     (fun (name, ns) ->
-      let base =
-        if String.length name >= 5 && String.sub name 0 5 = "query" then find "query/SI"
-        else find "update/SI"
-      in
-      Printf.printf "%-18s %12.0f %9.2fx\n" name ns (ns /. base))
+      let w = try List.assoc name words with Not_found -> nan in
+      Printf.printf "%-18s %12.0f %9.2fx %12.0f %9.2fx\n" name ns (vs_si results name ns) w
+        (vs_si words name w))
     results;
   Printf.printf
     "(query/SSI vs SI is the read-tracking CPU overhead, paper: 10-20%%;\n\
-    \ query/SSI-safe shows the safe-snapshot optimization recovering it)\n"
+    \ query/SSI-safe shows the safe-snapshot optimization recovering it;\n\
+    \ the words columns are exact, the ns columns wall-clock estimates)\n"
 
 (* ---- Regression gate ------------------------------------------------------------ *)
 

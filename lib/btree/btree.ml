@@ -165,52 +165,60 @@ let rec find_leaf node e =
    other value, so [(k, Null)] lower-bounds all real entries with key [k]. *)
 let floor_entry k = { ik = k; pk = Value.Null }
 
+(* The tree's one traversal ([walk], looping in [walk_leaves]): from the
+   first entry not below [(lo, Null)], follow the leaf chain, reporting
+   each leaf entered to [on_page] and feeding entries to [f] until it
+   returns [false]. *)
+let rec walk_leaves l i ~on_page f =
+  if i >= Array.length l.entries then
+    match l.next with
+    | None -> ()
+    | Some next ->
+        on_page next.lid;
+        walk_leaves next 0 ~on_page f
+  else if f l.entries.(i) then walk_leaves l (i + 1) ~on_page f
+
+let walk t lo ~on_page f =
+  let floor = floor_entry lo in
+  let start = find_leaf t.root floor in
+  on_page start.lid;
+  walk_leaves start (lower_bound start.entries floor) ~on_page f
+
+let iter_range t ~lo ~hi ~on_page f =
+  walk t lo ~on_page (fun e ->
+      Value.compare e.ik hi <= 0
+      && begin
+           if Value.compare e.ik lo >= 0 then f e.ik e.pk;
+           true
+         end)
+
 let range t ~lo ~hi ~pages =
-  let start = find_leaf t.root (floor_entry lo) in
-  let results = ref [] in
-  let visit l = pages := l.lid :: !pages in
-  let rec walk l i =
-    if i >= Array.length l.entries then
-      match l.next with
-      | None -> ()
-      | Some next ->
-          visit next;
-          walk next 0
-    else
-      let e = l.entries.(i) in
-      if Value.compare e.ik hi > 0 then ()
-      else begin
-        if Value.compare e.ik lo >= 0 then results := (e.ik, e.pk) :: !results;
-        walk l (i + 1)
-      end
-  in
-  visit start;
-  walk start (lower_bound start.entries (floor_entry lo));
-  List.rev !results
+  let acc = ref [] in
+  iter_range t ~lo ~hi
+    ~on_page:(fun p -> pages := p :: !pages)
+    (fun k pk -> acc := (k, pk) :: !acc);
+  List.rev !acc
 
 let lookup t key ~pages =
-  List.map snd (range t ~lo:key ~hi:key ~pages)
+  let acc = ref [] in
+  iter_range t ~lo:key ~hi:key
+    ~on_page:(fun p -> pages := p :: !pages)
+    (fun _ pk -> acc := pk :: !acc);
+  List.rev !acc
 
 let next_key_after t key =
-  (* Position after every entry with index key [key] (Str "" is not above
-     every pk, so use a max-sentinel entry on the pk side via comparing
-     only the ik when walking). *)
-  let start = find_leaf t.root { ik = key; pk = Value.Null } in
-  let rec walk l i =
-    if i >= Array.length l.entries then
-      match l.next with None -> None | Some next -> walk next 0
-    else
-      let e = l.entries.(i) in
-      if Value.compare e.ik key > 0 then Some e.ik else walk l (i + 1)
-  in
-  walk start (lower_bound start.entries { ik = key; pk = Value.Null })
+  let next = ref None in
+  walk t key ~on_page:ignore (fun e ->
+      Value.compare e.ik key <= 0
+      ||
+      (next := Some e.ik;
+       false));
+  !next
 
-let rec iter_node node f =
-  match node with
-  | Leaf l -> Array.iter (fun e -> f e.ik e.pk) l.entries
-  | Internal inner -> Array.iter (fun c -> iter_node c f) inner.children
-
-let iter t f = iter_node t.root f
+let iter t f =
+  walk t Value.Null ~on_page:ignore (fun e ->
+      f e.ik e.pk;
+      true)
 
 let rec height_of = function
   | Leaf _ -> 1
@@ -219,11 +227,9 @@ let rec height_of = function
 let height t = height_of t.root
 
 let leaf_pages t =
-  let rec leftmost = function Leaf l -> l | Internal i -> leftmost i.children.(0) in
-  let rec collect l acc =
-    match l.next with None -> List.rev (l.lid :: acc) | Some n -> collect n (l.lid :: acc)
-  in
-  collect (leftmost t.root) []
+  let pages = ref [] in
+  walk t Value.Null ~on_page:(fun p -> pages := p :: !pages) (fun _ -> true);
+  List.rev !pages
 
 let check_invariants t =
   let fail fmt = Printf.ksprintf failwith fmt in

@@ -38,15 +38,21 @@ val insert : t -> key:Value.t -> pk:Value.t -> int * bool
 val delete : t -> key:Value.t -> pk:Value.t -> bool
 (** Remove an entry; returns whether it was present. *)
 
-val lookup : t -> Value.t -> pages:int list ref -> Value.t list
-(** Primary keys indexed under exactly [key], appending examined leaf-page
-    ids to [pages]. *)
+val iter_range :
+  t -> lo:Value.t -> hi:Value.t -> on_page:(int -> unit) -> (Value.t -> Value.t -> unit) -> unit
+(** Call the function on each entry [(key, pk)] with [lo <= key <= hi], in
+    ascending order, and [on_page] on the id of each leaf page examined,
+    as the walk enters it.  The page holding the first entry beyond the
+    range is also examined (and therefore reported): it covers the gap
+    just past [hi].  The walk allocates nothing per entry; the tree must
+    not change while it runs. *)
 
 val range : t -> lo:Value.t -> hi:Value.t -> pages:int list ref -> (Value.t * Value.t) list
-(** Entries with [lo <= key <= hi] in ascending order, as
-    [(key, pk)] pairs, appending examined leaf-page ids to [pages].  The
-    page holding the first entry beyond the range is also examined (and
-    therefore reported): it covers the gap just past [hi]. *)
+(** {!iter_range} collected: the entries as [(key, pk)] pairs, with the
+    examined leaf-page ids prepended to [pages]. *)
+
+val lookup : t -> Value.t -> pages:int list ref -> Value.t list
+(** The primary keys {!range} finds under exactly [key]. *)
 
 val next_key_after : t -> Value.t -> Value.t option
 (** The smallest index key strictly greater than [key], if any — the

@@ -47,14 +47,18 @@ module Target_table = Hashtbl.Make (struct
       ->
         false
 
+  (* Mixes the name's hash with the other component and the kind's tag
+     arithmetically: no tuple is built just to be hashed. *)
+  let mix name x tag = (((Hashtbl.hash name * 65599) + x) * 31) + tag
+
   let hash = function
-    | Relation r -> Hashtbl.hash (0, r)
-    | Page (r, p) -> Hashtbl.hash (1, r, p)
-    | Tuple (r, k) -> Hashtbl.hash (2, r, Value.hash k)
-    | Index_page (i, p) -> Hashtbl.hash (3, i, p)
-    | Index_key (i, k) -> Hashtbl.hash (5, i, Value.hash k)
-    | Index_inf i -> Hashtbl.hash (6, i)
-    | Index_rel i -> Hashtbl.hash (4, i)
+    | Relation r -> mix r 0 0
+    | Page (r, p) -> mix r p 1
+    | Tuple (r, k) -> mix r (Value.hash k) 2
+    | Index_page (i, p) -> mix i p 3
+    | Index_rel i -> mix i 0 4
+    | Index_key (i, k) -> mix i (Value.hash k) 5
+    | Index_inf i -> mix i 0 6
 end)
 
 type entry = {
@@ -65,8 +69,9 @@ type entry = {
 (* Per-owner bookkeeping enabling promotion and O(locks) release. *)
 type owner_state = {
   held : unit Target_table.t;
-  (* Tuple locks per (relation, heap page): the tuple targets held there. *)
-  tuples_by_page : (string * int, target list ref) Hashtbl.t;
+  (* Tuple locks per relation, then per heap page: the tuple targets held
+     there. *)
+  tuples_by_page : (string, (int, target list ref) Hashtbl.t) Hashtbl.t;
   (* Heap-page locks per relation. *)
   pages_by_rel : (string, int list ref) Hashtbl.t;
   (* Index-page locks per index. *)
@@ -79,7 +84,8 @@ type owner_state = {
      only coarsen), so a hit can never be stale. *)
   covered_rels : (string, unit) Hashtbl.t;
   covered_idx : (string, unit) Hashtbl.t;
-  mutable page_memo : (string * int) option;
+  mutable memo_rel : string;
+  mutable memo_page : int;  (** [-1]: no memo *)
 }
 
 (* Registry handles, hoisted so the hot acquisition paths touch no
@@ -198,10 +204,12 @@ let entry_of t target =
       Target_table.add t.table target e;
       e
 
+(* [Hashtbl.find], not [find_opt]: a lookup on the hot acquisition paths
+   allocates no option. *)
 let owner_state t owner =
-  match Hashtbl.find_opt t.owners owner with
-  | Some s -> s
-  | None ->
+  match Hashtbl.find t.owners owner with
+  | s -> s
+  | exception Not_found ->
       let s =
         {
           held = Target_table.create 16;
@@ -210,16 +218,17 @@ let owner_state t owner =
           pages_by_index = Hashtbl.create 4;
           covered_rels = Hashtbl.create 4;
           covered_idx = Hashtbl.create 4;
-          page_memo = None;
+          memo_rel = "";
+          memo_page = -1;
         }
       in
       Hashtbl.add t.owners owner s;
       s
 
 let holds t ~owner target =
-  match Hashtbl.find_opt t.owners owner with
-  | None -> false
-  | Some s -> Target_table.mem s.held target
+  match Hashtbl.find t.owners owner with
+  | s -> Target_table.mem s.held target
+  | exception Not_found -> false
 
 let maybe_drop_entry t target e =
   if e.holders = [] && e.old_committed = None then Target_table.remove t.table target
@@ -235,21 +244,24 @@ let set_old_committed t target (e : entry) cseq =
       e.old_committed <- Some cseq;
       Oldc_heap.push t.oldc (cseq, target)
 
+let set_memo state rel page =
+  state.memo_rel <- rel;
+  state.memo_page <- page
+
+let memo_hit state rel page = page = state.memo_page && String.equal rel state.memo_rel
+
 (* Remove [target] from both the shared table and the owner's bookkeeping
    (except the per-page/per-rel counters, which callers maintain). *)
 let cache_granted state = function
   | Relation r -> Hashtbl.replace state.covered_rels r ()
   | Index_rel i -> Hashtbl.replace state.covered_idx i ()
-  | Page (r, p) -> state.page_memo <- Some (r, p)
+  | Page (r, p) -> set_memo state r p
   | Tuple _ | Index_page _ | Index_key _ | Index_inf _ -> ()
 
 let cache_forgotten state = function
   | Relation r -> Hashtbl.remove state.covered_rels r
   | Index_rel i -> Hashtbl.remove state.covered_idx i
-  | Page (r, p) -> (
-      match state.page_memo with
-      | Some (r', p') when p = p' && String.equal r r' -> state.page_memo <- None
-      | Some _ | None -> ())
+  | Page (r, p) -> if memo_hit state r p then state.memo_page <- -1
   | Tuple _ | Index_page _ | Index_key _ | Index_inf _ -> ()
 
 let forget t owner state target =
@@ -291,17 +303,11 @@ let promote_owner_relation t owner state rel =
   | Some pages ->
       List.iter (fun p -> forget t owner state (Page (rel, p))) !pages;
       Hashtbl.remove state.pages_by_rel rel);
-  let to_drop = ref [] in
-  Hashtbl.iter
-    (fun (r, _page) _targets -> if r = rel then to_drop := (r, _page) :: !to_drop)
-    state.tuples_by_page;
-  List.iter
-    (fun key ->
-      (match Hashtbl.find_opt state.tuples_by_page key with
-      | None -> ()
-      | Some targets -> List.iter (forget t owner state) !targets);
-      Hashtbl.remove state.tuples_by_page key)
-    !to_drop;
+  (match Hashtbl.find_opt state.tuples_by_page rel with
+  | None -> ()
+  | Some pages ->
+      Hashtbl.iter (fun _ targets -> List.iter (forget t owner state) !targets) pages;
+      Hashtbl.remove state.tuples_by_page rel);
   ignore (grant t owner state (Relation rel))
 
 let lock_page t ~owner ~rel ~page =
@@ -309,11 +315,14 @@ let lock_page t ~owner ~rel ~page =
   if Hashtbl.mem state.covered_rels rel then ()
   else if grant t owner state (Page (rel, page)) then begin
     (* Page lock subsumes the owner's tuple locks on that page. *)
-    (match Hashtbl.find_opt state.tuples_by_page (rel, page) with
+    (match Hashtbl.find_opt state.tuples_by_page rel with
     | None -> ()
-    | Some targets ->
-        List.iter (forget t owner state) !targets;
-        Hashtbl.remove state.tuples_by_page (rel, page));
+    | Some pages -> (
+        match Hashtbl.find_opt pages page with
+        | None -> ()
+        | Some targets ->
+            List.iter (forget t owner state) !targets;
+            Hashtbl.remove pages page));
     let pages =
       match Hashtbl.find_opt state.pages_by_rel rel with
       | Some l -> l
@@ -328,29 +337,44 @@ let lock_page t ~owner ~rel ~page =
   end
 
 (* Coarse coverage of a heap tuple: relation-level (cache), page-level via
-   the single-page memo, or page-level via a [held] probe (which refreshes
-   the memo, so a scan's next tuple on the same page hits the memo). *)
+   the single-page memo, or page-level via the owner's page list for the
+   relation (which refreshes the memo, so a scan's next tuple on the same
+   page hits the memo).  [pages_by_rel] lists exactly the owner's held
+   [Page] targets, so no target is built to probe [held]; [List.memq] is
+   exact on ints.  Nothing here allocates. *)
 let tuple_covered state ~rel ~page =
   Hashtbl.mem state.covered_rels rel
+  || memo_hit state rel page
   ||
-  match state.page_memo with
-  | Some (r, p) when p = page && String.equal r rel -> true
-  | Some _ | None ->
-      if Target_table.mem state.held (Page (rel, page)) then begin
-        state.page_memo <- Some (rel, page);
-        true
-      end
-      else false
+  match Hashtbl.find state.pages_by_rel rel with
+  | pages when List.memq page !pages ->
+      set_memo state rel page;
+      true
+  | _ -> false
+  | exception Not_found -> false
+
+let covers_tuple t ~owner ~rel ~page =
+  match Hashtbl.find t.owners owner with
+  | state -> tuple_covered state ~rel ~page
+  | exception Not_found -> false
 
 let lock_tuple_slow t owner state ~rel ~key ~page =
   let target = Tuple (rel, key) in
   if grant t owner state target then begin
+    let pages =
+      match Hashtbl.find_opt state.tuples_by_page rel with
+      | Some pages -> pages
+      | None ->
+          let pages = Hashtbl.create 8 in
+          Hashtbl.add state.tuples_by_page rel pages;
+          pages
+    in
     let tuples =
-      match Hashtbl.find_opt state.tuples_by_page (rel, page) with
+      match Hashtbl.find_opt pages page with
       | Some l -> l
       | None ->
           let l = ref [] in
-          Hashtbl.add state.tuples_by_page (rel, page) l;
+          Hashtbl.add pages page l;
           l
     in
     tuples := target :: !tuples;
@@ -374,14 +398,8 @@ let lock_tuples_page t ~owner ~rel ~page ~keys =
            page or relation coverage, after which the remaining keys are
            no-ops — exactly as sequential [lock_tuple] calls behave.  The
            re-check hits the cache/memo, never the [held] table. *)
-        let covered =
-          Hashtbl.mem state.covered_rels rel
-          ||
-          match state.page_memo with
-          | Some (r, p) -> p = page && String.equal r rel
-          | None -> false
-        in
-        if not covered then lock_tuple_slow t owner state ~rel ~key ~page)
+        if not (Hashtbl.mem state.covered_rels rel || memo_hit state rel page) then
+          lock_tuple_slow t owner state ~rel ~key ~page)
       keys
 
 (* Promote all of the owner's index-page locks on [index] to a whole-index
@@ -463,16 +481,19 @@ let unlock_tuple t ~owner ~rel ~key =
         (* Also forget it in the per-page lists (linear, lists are short by
            construction: promotion caps them). *)
         Hashtbl.iter
-          (fun _ targets ->
-            targets :=
-              List.filter
-                (fun tg ->
-                  match tg with
-                  | Tuple (r, k) -> not (r = rel && Value.equal k key)
-                  | Relation _ | Page _ | Index_page _ | Index_key _ | Index_inf _
-                  | Index_rel _ ->
-                      true)
-                !targets)
+          (fun _ pages ->
+            Hashtbl.iter
+              (fun _ targets ->
+                targets :=
+                  List.filter
+                    (fun tg ->
+                      match tg with
+                      | Tuple (r, k) -> not (r = rel && Value.equal k key)
+                      | Relation _ | Page _ | Index_page _ | Index_key _ | Index_inf _
+                      | Index_rel _ ->
+                          true)
+                    !targets)
+              pages)
           state.tuples_by_page
       end
 
@@ -608,9 +629,10 @@ let promote_relation t ~rel =
     (fun owner state ->
       let has_fine =
         Hashtbl.mem state.pages_by_rel rel
-        || Hashtbl.fold
-             (fun (r, _) targets acc -> acc || (r = rel && !targets <> []))
-             state.tuples_by_page false
+        ||
+        match Hashtbl.find_opt state.tuples_by_page rel with
+        | Some pages -> Hashtbl.fold (fun _ targets acc -> acc || !targets <> []) pages false
+        | None -> false
       in
       if has_fine then owners_to_promote := (owner, state) :: !owners_to_promote)
     t.owners;

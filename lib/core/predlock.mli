@@ -73,6 +73,12 @@ val lock_tuples_page :
     an owner already holding a relation- or page-level lock pays nothing
     per tuple. *)
 
+val covers_tuple : t -> owner:xid -> rel:string -> page:int -> bool
+(** Whether the owner already holds a relation or page lock covering
+    tuples on [page], so {!lock_tuple} there would do nothing.  Allocates
+    nothing, and neither does {!lock_tuple} or {!lock_tuples_page} on a
+    covered tuple. *)
+
 val lock_page : t -> owner:xid -> rel:string -> page:int -> unit
 val lock_relation : t -> owner:xid -> rel:string -> unit
 val lock_index_page : t -> owner:xid -> index:string -> page:int -> unit

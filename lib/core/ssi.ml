@@ -737,9 +737,11 @@ let read_index_rel t node ~index =
 
 let conflict_out t node ~writer =
   if (not node.safe) && writer <> node.xid then
-    match Hashtbl.find_opt t.by_xid writer with
-    | Some w -> flag_conflict t ~actor:node ~reader:node ~writer:w
-    | None -> (
+    (* [find], not [find_opt]: a reader's visibility walk reports every
+       writer it reads around, and the lookup should allocate nothing. *)
+    match Hashtbl.find t.by_xid writer with
+    | w -> flag_conflict t ~actor:node ~reader:node ~writer:w
+    | exception Not_found -> (
         match Hashtbl.find_opt t.oldserxid writer with
         | None -> () (* writer was not serializable *)
         | Some { old_commit; old_earliest_out } ->

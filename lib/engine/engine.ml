@@ -527,8 +527,8 @@ let begin_txn ?isolation ?read_only ?deferrable ?span db =
    have no (active) sxact. *)
 let tracking txn =
   match txn.sxact with
-  | Some node when not (txn.db.cert.Certifier.is_safe node) -> Some node
-  | _ -> None
+  | Some node as sxact when not (txn.db.cert.Certifier.is_safe node) -> sxact
+  | Some _ | None -> None
 
 let ensure_running txn =
   if txn.crashed then
@@ -663,61 +663,73 @@ let wait_for_xid txn other =
       (* Re-check doom: the conflict that resolved may have chosen us. *)
       ensure_running txn
 
-let in_progress db x = match Clog.status db.clog x with Clog.In_progress -> true | _ -> false
-
 (* The newest version of a row whose creator did not abort, with all
    in-progress writers (creator or deleter) awaited first. *)
-let rec live_head txn tbl key =
-  match Heap.head tbl.heap key with
+let rec live_head txn tbl key = newest_live txn tbl key (Heap.head tbl.heap key)
+
+and newest_live txn tbl key (cell : Heap.tuple option) =
+  let clog = txn.db.clog in
+  match cell with
   | None -> None
-  | Some head ->
-      let rec newest (v : Heap.tuple) =
-        match Clog.status txn.db.clog v.xmin with
-        | Clog.Aborted -> ( match v.prev with None -> None | Some older -> newest older)
-        | Clog.In_progress when v.xmin <> txn.txn_xid -> Some (`Wait v.xmin)
-        | Clog.In_progress | Clog.Committed _ -> Some (`Head v)
-      in
-      (match newest head with
-      | None -> None
-      | Some (`Wait x) ->
-          wait_for_xid txn x;
-          live_head txn tbl key
-      | Some (`Head v) ->
-          if v.xmax <> Heap.invalid_xid && v.xmax <> txn.txn_xid && in_progress txn.db v.xmax
-          then begin
-            wait_for_xid txn v.xmax;
-            live_head txn tbl key
-          end
-          else Some v)
+  | Some v ->
+      if Clog.is_aborted clog v.xmin then newest_live txn tbl key v.prev
+      else if v.xmin <> txn.txn_xid && Clog.is_in_progress clog v.xmin then begin
+        wait_for_xid txn v.xmin;
+        live_head txn tbl key
+      end
+      else if v.xmax <> Heap.invalid_xid && v.xmax <> txn.txn_xid
+              && Clog.is_in_progress clog v.xmax
+      then begin
+        wait_for_xid txn v.xmax;
+        live_head txn tbl key
+      end
+      else cell
 
 (* ---- Shared read path ----------------------------------------------------------- *)
 
-let conflict_out_many node db xs =
-  List.iter (fun w -> db.cert.Certifier.conflict_out node ~writer:w) xs
+(* Every read has the same contract: at most one traversal of an index per
+   pass and one visibility walk per row; outside S2PL an indexed read
+   allocates nothing per row but the rows it returns.  The SSI evidence of a read, in order:
+   the gap locks of its index probe, the writers its walk reads around,
+   the deleter of the visible version, the version's creator, and the
+   tuple SIREAD lock. *)
 
-(* Probe the primary-key index for gap protection, then walk the version
-   chain.  Returns the visible version, recording SSI conflicts and
-   acquiring SIREAD / 2PL locks along the way. *)
-(* Acquire the SIREAD gap locks for an index probe.  Page mode locks every
-   examined leaf page; next-key mode locks the distinct keys returned plus
-   the successor of the probe's upper bound, which covers every gap the
-   scan observed (§5.2.1 "next-key locking" future work). *)
-let ssi_lock_index_gaps db node idx ~hi ~keys ~pages =
+(* The visibility walk's rw-antidependency hook: conflicts out of a
+   tracked reader, or nothing. *)
+let around db = function
+  | Some node -> fun w -> db.cert.Certifier.conflict_out node ~writer:w
+  | None -> ignore
+
+(* The evidence of reading visible version [v] beyond the walk itself. *)
+let note_read txn node (v : Heap.tuple) =
+  let cert = txn.db.cert in
+  let w = Visibility.deleter txn.db.clog txn.snapshot v in
+  if w <> Heap.invalid_xid then cert.Certifier.conflict_out node ~writer:w;
+  cert.Certifier.read_from node ~creator:v.xmin
+
+(* Acquire the SIREAD gap locks for an index probe of [lo, hi], before any
+   of its rows is read.  Page mode locks every examined leaf page;
+   next-key mode locks the distinct keys found plus the successor of
+   [hi], which covers every gap the scan observed (§5.2.1 "next-key
+   locking" future work). *)
+let ssi_lock_index_gaps db node idx ~lo ~hi =
+  let cert = db.cert and index = idx.idx_name in
   if idx.next_key then begin
-    let seen = Hashtbl.create 8 in
-    List.iter
-      (fun k ->
-        if not (Hashtbl.mem seen k) then begin
-          Hashtbl.add seen k ();
-          db.cert.Certifier.read_index_key node ~index:idx.idx_name ~key:k
-        end)
-      keys;
+    let last = ref None in
+    Btree.iter_range idx.tree ~lo ~hi ~on_page:ignore (fun key _ ->
+        match !last with
+        | Some k when Value.equal k key -> ()
+        | Some _ | None ->
+            last := Some key;
+            cert.Certifier.read_index_key node ~index ~key);
     match Btree.next_key_after idx.tree hi with
-    | Some succ -> db.cert.Certifier.read_index_key node ~index:idx.idx_name ~key:succ
-    | None -> db.cert.Certifier.read_index_inf node ~index:idx.idx_name
+    | Some succ -> cert.Certifier.read_index_key node ~index ~key:succ
+    | None -> cert.Certifier.read_index_inf node ~index
   end
   else
-    List.iter (fun p -> db.cert.Certifier.read_index_gap node ~index:idx.idx_name ~page:p) pages
+    Btree.iter_range idx.tree ~lo ~hi
+      ~on_page:(fun page -> cert.Certifier.read_index_gap node ~index ~page)
+      (fun _ _ -> ())
 
 (* Under 2PL an index probe is only valid once shared locks on the visited
    leaf pages are held: acquiring a lock can block, and by the time it is
@@ -744,46 +756,38 @@ let rec lock_index_probe txn idx ~probe =
     lock_index_probe txn idx ~probe
   end
 
+(* The visible version of [key], as the heap chain's own option cell. *)
 let fetch txn tbl key ~for_write =
   let db = txn.db in
   let rel = Heap.rel_name tbl.heap in
+  let node = tracking txn in
   if is_2pl txn then begin
     Lockmgr.acquire db.locks ~owner:txn.txn_xid (Lockmgr.Relation rel)
       (if for_write then Lockmgr.IX else Lockmgr.IS);
-    ignore (lock_index_probe txn tbl.pk_index ~probe:(fun ~pages ->
-        Btree.lookup tbl.pk_index.tree key ~pages));
+    ignore
+      (lock_index_probe txn tbl.pk_index ~probe:(fun ~pages ->
+           Btree.iter_range tbl.pk_index.tree ~lo:key ~hi:key
+             ~on_page:(fun p -> pages := p :: !pages)
+             (fun _ _ -> ())));
     Lockmgr.acquire db.locks ~owner:txn.txn_xid (Lockmgr.Tuple (rel, key))
       (if for_write then Lockmgr.X else Lockmgr.S);
     refresh_stmt_snapshot txn
   end
   else begin
-    let pages = ref [] in
-    let hits = Btree.lookup tbl.pk_index.tree key ~pages in
-    match tracking txn with
-    | Some node ->
-        let keys = if hits = [] then [] else [ key ] in
-        ssi_lock_index_gaps db node tbl.pk_index ~hi:key ~keys ~pages:!pages
+    match node with
+    | Some node -> ssi_lock_index_gaps db node tbl.pk_index ~lo:key ~hi:key
     | None -> ()
   end;
-  match Heap.head tbl.heap key with
+  let around = around db node in
+  match Visibility.visible db.clog txn.snapshot ~around (Heap.head tbl.heap key) with
   | None -> None
-  | Some head -> (
-      let visible, conflicts = Visibility.latest_visible db.clog txn.snapshot head in
-      (match tracking txn with
-      | Some node -> conflict_out_many node db conflicts
+  | Some v as visible ->
+      (match node with
+      | Some node ->
+          note_read txn node v;
+          db.cert.Certifier.read_tuple node ~rel ~key ~page:(Heap.page_of_tid v.tid)
       | None -> ());
-      match visible with
-      | None -> None
-      | Some (v, deleter) ->
-          (match tracking txn with
-          | Some node ->
-              (match deleter with
-              | Some w -> db.cert.Certifier.conflict_out node ~writer:w
-              | None -> ());
-              db.cert.Certifier.read_from node ~creator:v.xmin;
-              db.cert.Certifier.read_tuple node ~rel ~key ~page:(Heap.page_of_tid v.tid)
-          | None -> ());
-          Some v)
+      visible
 
 (* ---- Reads ------------------------------------------------------------------------ *)
 
@@ -820,104 +824,88 @@ let index_scan txn ~table ~index ~lo ~hi =
   if idx.table_name <> table then invalid_arg "Engine.index_scan: index is on another table";
   let rel = Heap.rel_name tbl.heap in
   map_lock_errors txn (fun () ->
-      let entries, scan_pages =
-        if is_2pl txn then begin
-          Lockmgr.acquire db.locks ~owner:txn.txn_xid (Lockmgr.Relation rel) Lockmgr.IS;
-          let entries, pages =
-            lock_index_probe txn idx ~probe:(fun ~pages -> Btree.range idx.tree ~lo ~hi ~pages)
-          in
-          refresh_stmt_snapshot txn;
-          (entries, pages)
-        end
-        else begin
-          let pages = ref [] in
-          let entries = Btree.range idx.tree ~lo ~hi ~pages in
-          (match tracking txn with
-          | Some node ->
-              if idx.pred_locks then
-                ssi_lock_index_gaps db node idx ~hi ~keys:(List.map fst entries)
-                  ~pages:!pages
-              else db.cert.Certifier.read_index_rel node ~index
-          | None -> ());
-          (entries, !pages)
-        end
-      in
-      let tuples = ref 0 in
+      let node = tracking txn in
+      let around = around db node in
+      let tuples = ref 0 and npages = ref 0 and rows = ref [] in
       (* SSI tuple SIREAD locks are batched per heap page: one coverage
          check per scanned page instead of one hash probe per tuple.  Keys
-         accumulate in scan order and flush after the row loop — also on
-         the failure path, so a mid-scan serialization failure leaves
-         exactly the locks the per-tuple path would have taken.  No other
-         transaction can run between accumulation and flush (the SSI scan
-         loop has no suspension points), so conflict detection is
-         unchanged. *)
-      let batch_pages = Hashtbl.create 8 in
-      let batch_order = ref [] in
+         accumulate in scan order, per page in first-seen order, and flush
+         after the row loop — also on the failure path, so a mid-scan
+         serialization failure leaves exactly the locks the per-tuple path
+         would have taken.  No other transaction can run between
+         accumulation and flush (the SSI scan loop has no suspension
+         points), so conflict detection is unchanged; for the same reason
+         a row on a page the transaction already covers, by a relation or
+         page lock, would be a no-op at the flush and is not batched. *)
+      let batch = ref [] in
       let batch_read pk page =
-        match Hashtbl.find_opt batch_pages page with
-        | Some keys -> keys := pk :: !keys
-        | None ->
-            Hashtbl.add batch_pages page (ref [ pk ]);
-            batch_order := page :: !batch_order
+        if not (Predlock.covers_tuple db.cert.Certifier.locks ~owner:txn.txn_xid ~rel ~page)
+        then
+          let rec add = function
+            | [] -> batch := (page, ref [ pk ]) :: !batch
+            | (p, keys) :: rest -> if p = page then keys := pk :: !keys else add rest
+          in
+          add !batch
       in
       let flush_batch node =
         List.iter
-          (fun page ->
-            match Hashtbl.find_opt batch_pages page with
-            | Some keys ->
-                db.cert.Certifier.read_tuples_page node ~rel ~page ~keys:(List.rev !keys)
-            | None -> ())
-          (List.rev !batch_order)
+          (fun (page, keys) ->
+            db.cert.Certifier.read_tuples_page node ~rel ~page ~keys:(List.rev !keys))
+          (List.rev !batch)
       in
-      let rows =
-        Fun.protect
-          ~finally:(fun () ->
-            match tracking txn with Some node -> flush_batch node | None -> ())
-          (fun () ->
-            List.filter_map
-              (fun (ikey, pk) ->
-                (* Under 2PL the tuple lock must precede the visibility check:
-                   acquiring it can block, and the row must then be read as of
-                   the post-wait state. *)
-                if is_2pl txn then begin
-                  Lockmgr.acquire db.locks ~owner:txn.txn_xid (Lockmgr.Tuple (rel, pk))
-                    Lockmgr.S;
-                  refresh_stmt_snapshot txn
-                end;
-                match Heap.head tbl.heap pk with
-                | None -> None
-                | Some head -> (
-                    incr tuples;
-                    let visible, conflicts =
-                      Visibility.latest_visible db.clog txn.snapshot head
-                    in
-                    (match tracking txn with
-                    | Some node -> conflict_out_many node db conflicts
-                    | None -> ());
-                    match visible with
-                    | None -> None
-                    | Some (v, deleter) ->
-                        (* Entries of old versions may no longer describe the
-                           visible version: filter on the current value. *)
-                        if Value.equal v.row.(idx.col) ikey then begin
-                          (match tracking txn with
-                          | Some node ->
-                              (match deleter with
-                              | Some w -> db.cert.Certifier.conflict_out node ~writer:w
-                              | None -> ());
-                              db.cert.Certifier.read_from node ~creator:v.xmin;
-                              batch_read pk (Heap.page_of_tid v.tid)
-                          | None -> ());
-                          Some (Array.copy v.row)
-                        end
-                        else None))
-              entries)
+      let scan_row ikey pk =
+        (* Under 2PL the tuple lock must precede the visibility check:
+           acquiring it can block, and the row must then be read as of the
+           post-wait state. *)
+        if is_2pl txn then begin
+          Lockmgr.acquire db.locks ~owner:txn.txn_xid (Lockmgr.Tuple (rel, pk)) Lockmgr.S;
+          refresh_stmt_snapshot txn
+        end;
+        match Heap.head tbl.heap pk with
+        | None -> ()
+        | head -> (
+            incr tuples;
+            match Visibility.visible db.clog txn.snapshot ~around head with
+            | None -> ()
+            | Some v ->
+                (* Entries of old versions may no longer describe the
+                   visible version: filter on the current value. *)
+                if Value.equal v.row.(idx.col) ikey then begin
+                  (match node with
+                  | Some node ->
+                      note_read txn node v;
+                      batch_read pk (Heap.page_of_tid v.tid)
+                  | None -> ());
+                  rows := Array.copy v.row :: !rows
+                end)
       in
+      Fun.protect
+        ~finally:(fun () -> Option.iter flush_batch node)
+        (fun () ->
+          if is_2pl txn then begin
+            (* Tuple locks can suspend the row loop, so the entries are
+               collected first, as of the probe that found every page
+               locked. *)
+            Lockmgr.acquire db.locks ~owner:txn.txn_xid (Lockmgr.Relation rel) Lockmgr.IS;
+            let entries, pages =
+              lock_index_probe txn idx ~probe:(fun ~pages -> Btree.range idx.tree ~lo ~hi ~pages)
+            in
+            refresh_stmt_snapshot txn;
+            npages := List.length pages;
+            List.iter (fun (ikey, pk) -> scan_row ikey pk) entries
+          end
+          else begin
+            (match node with
+            | Some node ->
+                if idx.pred_locks then ssi_lock_index_gaps db node idx ~lo ~hi
+                else db.cert.Certifier.read_index_rel node ~index
+            | None -> ());
+            Btree.iter_range idx.tree ~lo ~hi ~on_page:(fun _ -> incr npages) scan_row
+          end);
       finish_op db ~tuples:!tuples
-        ~locks:
-          (if tracking txn <> None || is_2pl txn then !tuples + List.length scan_pages else 0)
-        ~pages:(List.length scan_pages + !tuples);
-      rows)
+        ~locks:(if tracking txn <> None || is_2pl txn then !tuples + !npages else 0)
+        ~pages:(!npages + !tuples);
+      List.rev !rows)
 
 let seq_scan txn ~table ?(filter = fun _ -> true) () =
   start_op txn;
@@ -930,27 +918,17 @@ let seq_scan txn ~table ?(filter = fun _ -> true) () =
         Lockmgr.acquire db.locks ~owner:txn.txn_xid (Lockmgr.Relation rel) Lockmgr.S;
         refresh_stmt_snapshot txn
       end;
-      (match tracking txn with
-      | Some node -> db.cert.Certifier.read_relation node ~rel
-      | None -> ());
+      let node = tracking txn in
+      (match node with Some node -> db.cert.Certifier.read_relation node ~rel | None -> ());
+      let around = around db node in
       let tuples = ref 0 in
       let rows = ref [] in
       Heap.iter_heads tbl.heap (fun head ->
           incr tuples;
-          let visible, conflicts = Visibility.latest_visible db.clog txn.snapshot head in
-          (match tracking txn with
-          | Some node -> conflict_out_many node db conflicts
-          | None -> ());
-          match visible with
+          match Visibility.visible db.clog txn.snapshot ~around (Some head) with
           | None -> ()
-          | Some (v, deleter) ->
-              (match tracking txn with
-              | Some node ->
-                  (match deleter with
-                  | Some w -> db.cert.Certifier.conflict_out node ~writer:w
-                  | None -> ());
-                  db.cert.Certifier.read_from node ~creator:v.xmin
-              | None -> ());
+          | Some v ->
+              (match node with Some node -> note_read txn node v | None -> ());
               if filter v.row then rows := Array.copy v.row :: !rows);
       (* Read tracking is per tuple (visibility conflict-out checks), while
          the 2PL baseline locks the whole relation once. *)
@@ -1197,12 +1175,13 @@ let timed db h f =
       raise e
 
 (* Each data operation is also a child span of the transaction's span, so
-   lock waits and I/O stalls show up as gaps inside the right interval. *)
-let op_timed txn h name f =
+   lock waits and I/O stalls show up as gaps inside the right interval.
+   [span_name] is a constant ("op.<op>"): nothing is built per call. *)
+let op_timed txn h span_name f =
   let db = txn.db in
   let sp =
     match txn.span with
-    | Some parent -> Some (Obs.Span.start db.obs ~parent ("op." ^ name))
+    | Some parent -> Some (Obs.Span.start db.obs ~parent span_name)
     | None -> None
   in
   let t0 = db.sched.now () in
@@ -1223,23 +1202,23 @@ let op_timed txn h name f =
       raise e
 
 let read txn ~table ~key =
-  op_timed txn txn.db.metrics.h_read "read" (fun () -> read txn ~table ~key)
+  op_timed txn txn.db.metrics.h_read "op.read" (fun () -> read txn ~table ~key)
 
 let index_scan txn ~table ~index ~lo ~hi =
-  op_timed txn txn.db.metrics.h_index_scan "index_scan" (fun () ->
+  op_timed txn txn.db.metrics.h_index_scan "op.index_scan" (fun () ->
       index_scan txn ~table ~index ~lo ~hi)
 
 let seq_scan txn ~table ?filter () =
-  op_timed txn txn.db.metrics.h_seq_scan "seq_scan" (fun () -> seq_scan txn ~table ?filter ())
+  op_timed txn txn.db.metrics.h_seq_scan "op.seq_scan" (fun () -> seq_scan txn ~table ?filter ())
 
 let insert txn ~table row =
-  op_timed txn txn.db.metrics.h_insert "insert" (fun () -> insert txn ~table row)
+  op_timed txn txn.db.metrics.h_insert "op.insert" (fun () -> insert txn ~table row)
 
 let update txn ~table ~key ~f =
-  op_timed txn txn.db.metrics.h_update "update" (fun () -> update txn ~table ~key ~f)
+  op_timed txn txn.db.metrics.h_update "op.update" (fun () -> update txn ~table ~key ~f)
 
 let delete txn ~table ~key =
-  op_timed txn txn.db.metrics.h_delete "delete" (fun () -> delete txn ~table ~key)
+  op_timed txn txn.db.metrics.h_delete "op.delete" (fun () -> delete txn ~table ~key)
 
 (* ---- Commit / abort -------------------------------------------------------------------- *)
 
@@ -1591,9 +1570,9 @@ let checkpoint db =
             let ki = Schema.key_index schema in
             let rows =
               Heap.fold_heads tbl.heap ~init:[] ~f:(fun acc head ->
-                  match Visibility.latest_visible db.clog snap head with
-                  | Some (v, _), _ -> Array.copy v.Heap.row :: acc
-                  | None, _ -> acc)
+                  match Visibility.visible db.clog snap ~around:ignore (Some head) with
+                  | Some v -> Array.copy v.Heap.row :: acc
+                  | None -> acc)
               |> List.sort (fun a b -> compare a.(ki) b.(ki))
             in
             let indexes =

@@ -8,57 +8,74 @@ let invalid_cseq = max_int
 module Clog = struct
   type status = In_progress | Committed of cseq | Aborted
 
-  type t = {
-    statuses : (xid, status) Hashtbl.t;
-    mutable next_xid : xid;
-    mutable next_cseq : cseq;
-  }
+  (* One int per xid, indexed by xid: a commit cseq (>= 0) or one of the
+     negative codes below.  Lookups allocate nothing, unlike a table of
+     boxed [status] values. *)
+  let unknown = -3
+  let in_progress = -1
+  let aborted = -2
 
-  let create () = { statuses = Hashtbl.create 256; next_xid = 1; next_cseq = 1 }
+  type t = { mutable codes : int array; mutable next_xid : xid; mutable next_cseq : cseq }
+
+  let create () = { codes = Array.make 256 unknown; next_xid = 1; next_cseq = 1 }
+
+  let set t xid code =
+    let n = Array.length t.codes in
+    if xid >= n then begin
+      let codes = Array.make (max (2 * n) (xid + 1)) unknown in
+      Array.blit t.codes 0 codes 0 n;
+      t.codes <- codes
+    end;
+    t.codes.(xid) <- code
+
+  let code t xid =
+    let c = if xid >= 0 && xid < Array.length t.codes then t.codes.(xid) else unknown in
+    if c = unknown then invalid_arg (Printf.sprintf "Clog.status: unknown xid %d" xid);
+    c
 
   let new_xid t =
     let xid = t.next_xid in
     t.next_xid <- xid + 1;
-    Hashtbl.replace t.statuses xid In_progress;
+    set t xid in_progress;
     xid
 
   let status t xid =
-    match Hashtbl.find_opt t.statuses xid with
-    | Some s -> s
-    | None -> invalid_arg (Printf.sprintf "Clog.status: unknown xid %d" xid)
+    let c = code t xid in
+    if c = in_progress then In_progress else if c = aborted then Aborted else Committed c
+
+  let resolve t xid ~what code' =
+    if code t xid <> in_progress then
+      invalid_arg ("Clog." ^ what ^ ": transaction already resolved");
+    set t xid code'
 
   let commit t xid =
-    (match status t xid with
-    | In_progress -> ()
-    | Committed _ | Aborted -> invalid_arg "Clog.commit: transaction already resolved");
     let c = t.next_cseq in
+    resolve t xid ~what:"commit" c;
     t.next_cseq <- c + 1;
-    Hashtbl.replace t.statuses xid (Committed c);
     c
 
-  let abort t xid =
-    (match status t xid with
-    | In_progress -> ()
-    | Committed _ | Aborted -> invalid_arg "Clog.abort: transaction already resolved");
-    Hashtbl.replace t.statuses xid Aborted
-
+  let abort t xid = resolve t xid ~what:"abort" aborted
   let next_cseq t = t.next_cseq
 
   (* Recovery replay: reinstate a transaction under its ORIGINAL id (and,
      for commits, original cseq), keeping the allocators ahead of
      everything installed so post-recovery transactions never collide. *)
   let install t xid status =
-    Hashtbl.replace t.statuses xid status;
-    if xid >= t.next_xid then t.next_xid <- xid + 1;
-    match status with
-    | Committed c -> if c >= t.next_cseq then t.next_cseq <- c + 1
-    | In_progress | Aborted -> ()
+    (match status with
+    | In_progress -> set t xid in_progress
+    | Aborted -> set t xid aborted
+    | Committed c ->
+        set t xid c;
+        if c >= t.next_cseq then t.next_cseq <- c + 1);
+    if xid >= t.next_xid then t.next_xid <- xid + 1
 
   let commit_cseq t xid =
-    match status t xid with Committed c -> c | In_progress | Aborted -> invalid_cseq
+    let c = code t xid in
+    if c >= 0 then c else invalid_cseq
 
-  let is_committed t xid =
-    match status t xid with Committed _ -> true | In_progress | Aborted -> false
+  let is_committed t xid = code t xid >= 0
+  let is_in_progress t xid = code t xid = in_progress
+  let is_aborted t xid = code t xid = aborted
 end
 
 module Snapshot = struct
@@ -69,53 +86,43 @@ module Snapshot = struct
   let sees_xid clog t xid =
     xid = t.owner
     ||
-    match Clog.status clog xid with
-    | Committed c -> c < t.horizon
-    | In_progress | Aborted -> false
+    let c = Clog.code clog xid in
+    c >= 0 && c < t.horizon
 end
 
 module Visibility = struct
-  type verdict = Visible of xid option | Invisible of xid option
-
-  (* A write by [w] that the reader "reads around" creates a reader→w
+  (* A write by [w] that the reader "reads around" creates a reader->w
      rw-antidependency, but only when [w] actually is (or may yet be) part
      of the committed history: in progress, or committed after the
      snapshot.  Aborted writers and the reader itself never conflict. *)
-  let conflict_writer clog snap w =
-    if w = Heap.invalid_xid || w = snap.Snapshot.owner then None
-    else
-      match Clog.status clog w with
-      | Aborted -> None
-      | In_progress -> Some w
-      | Committed c -> if c >= snap.Snapshot.horizon then Some w else None
+  let conflicts clog (snap : Snapshot.t) w =
+    w <> Heap.invalid_xid
+    && w <> snap.owner
+    &&
+    let c = Clog.code clog w in
+    c = Clog.in_progress || (c >= 0 && c >= snap.horizon)
 
-  let check clog snap (tuple : Heap.tuple) =
-    if Snapshot.sees_xid clog snap tuple.xmin then
-      if tuple.xmax = Heap.invalid_xid then Visible None
-      else if tuple.xmax = snap.Snapshot.owner then Invisible None (* deleted by self *)
-      else if Snapshot.sees_xid clog snap tuple.xmax then Invisible None
-        (* deleter committed before the snapshot: cleanly gone *)
-      else
-        (* Deleter in progress, committed after the snapshot, or aborted:
-           the version is still visible here. *)
-        Visible (conflict_writer clog snap tuple.xmax)
-    else Invisible (conflict_writer clog snap tuple.xmin)
+  (* The walk from the chain head towards older versions.  A version is
+     visible when its creator is seen and its deleter is not (unset,
+     in progress, aborted, or committed after the snapshot).  An invisible
+     version whose creator conflicts was written around; every other
+     invisible version (aborted creator, deleted by the reader or before
+     the snapshot) is skipped silently.  Walking on past a version deleted
+     before the snapshot is still correct: older versions are judged
+     independently.  The result is the chain's own option cell, so the
+     walk allocates nothing. *)
+  let rec visible clog (snap : Snapshot.t) ~around (v : Heap.tuple option) =
+    match v with
+    | None -> None
+    | Some t ->
+        if Snapshot.sees_xid clog snap t.xmin then
+          if t.xmax = Heap.invalid_xid || not (Snapshot.sees_xid clog snap t.xmax) then v
+          else visible clog snap ~around t.prev
+        else begin
+          if conflicts clog snap t.xmin then around t.xmin;
+          visible clog snap ~around t.prev
+        end
 
-  let latest_visible clog snap head =
-    let rec walk v conflicts =
-      match v with
-      | None -> (None, List.rev conflicts)
-      | Some tuple -> (
-          match check clog snap tuple with
-          | Visible deleter -> (Some (tuple, deleter), List.rev conflicts)
-          | Invisible (Some w) -> walk tuple.Heap.prev (w :: conflicts)
-          | Invisible None -> (
-              (* An invisible version with no conflicting creator is either
-                 aborted (skip it) or was deleted before the snapshot — in
-                 which case no older version can be visible either, but
-                 walking on is still correct because visibility of older
-                 versions is checked independently. *)
-              walk tuple.Heap.prev conflicts))
-    in
-    walk (Some head) []
+  let deleter clog snap (t : Heap.tuple) =
+    if conflicts clog snap t.xmax then t.xmax else Heap.invalid_xid
 end

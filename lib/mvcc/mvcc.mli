@@ -16,7 +16,8 @@ val invalid_cseq : cseq
 (** Sorts after every real cseq ([max_int]): "not committed yet". *)
 
 module Clog : sig
-  (** The commit log: status of every transaction ever started. *)
+  (** The commit log: status of every transaction ever started, kept
+      dense by xid. *)
 
   type status = In_progress | Committed of cseq | Aborted
 
@@ -48,6 +49,10 @@ module Clog : sig
   (** [Committed c -> c]; {!invalid_cseq} otherwise. *)
 
   val is_committed : t -> xid -> bool
+  val is_in_progress : t -> xid -> bool
+  val is_aborted : t -> xid -> bool
+  (** Like {!commit_cseq} and {!is_committed}, these allocate nothing;
+      {!status} allocates for a commit. *)
 end
 
 module Snapshot : sig
@@ -63,26 +68,26 @@ module Snapshot : sig
       committed before the horizon. *)
 end
 
-(** Tuple-level visibility, returning the rw-conflict information SSI's
-    write-before-read detection needs (paper §5.2). *)
+(** Tuple visibility, reporting the rw-conflict information SSI's
+    write-before-read detection needs (paper §5.2).  Neither function
+    allocates. *)
 module Visibility : sig
-  type verdict =
-    | Visible of xid option
-        (** The tuple version is visible.  [Some w]: it has been deleted or
-            superseded by [w], which is in progress or committed after the
-            snapshot — the reader has a rw-antidependency out to [w]. *)
-    | Invisible of xid option
-        (** Not visible.  [Some w]: it was created by [w], in progress or
-            committed after the snapshot — the reader read {e around} [w]'s
-            write, a rw-antidependency out to [w].  [None]: e.g. creator
-            aborted, or deleted before the snapshot. *)
+  val visible :
+    Clog.t ->
+    Snapshot.t ->
+    around:(xid -> unit) ->
+    Ssi_storage.Heap.tuple option ->
+    Ssi_storage.Heap.tuple option
+  (** Walk a version chain from the given version (normally
+      [Heap.head]) towards older ones and return the newest version the
+      snapshot sees, as the chain's own option cell.  Every newer version
+      the reader reads {e around} — created by a transaction in progress
+      or committed after the snapshot — reports its creator to [around],
+      in chain order: a rw-antidependency out to that writer. *)
 
-  val check : Clog.t -> Snapshot.t -> Ssi_storage.Heap.tuple -> verdict
-
-  val latest_visible :
-    Clog.t -> Snapshot.t -> Ssi_storage.Heap.tuple -> (Ssi_storage.Heap.tuple * xid option) option * xid list
-  (** Walk a version chain from its head and return the newest visible
-      version together with its deletion conflict, plus the list of
-      conflict xids gathered from invisible newer versions passed on the
-      way.  [None, conflicts] when no version is visible. *)
+  val deleter : Clog.t -> Snapshot.t -> Ssi_storage.Heap.tuple -> xid
+  (** For a version {!visible} returned: the transaction that deleted or
+      superseded it without the snapshot seeing it (in progress or
+      committed after the snapshot), or [Heap.invalid_xid].  A real
+      deleter is a rw-antidependency out to it. *)
 end

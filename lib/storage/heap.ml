@@ -26,7 +26,9 @@ type t = {
   schema : Schema.t;
   tuples_per_page : int;
   mutable next_slot : int;
-  heads : tuple Key_table.t;
+  heads : tuple option Key_table.t;
+      (** always [Some head]: [head] returns the stored cell, allocating
+          nothing, and it becomes the next version's [prev] *)
   mutable gen : int;
 }
 
@@ -43,24 +45,24 @@ let fresh_tid t =
   t.next_slot <- slot + 1;
   { page = slot / t.tuples_per_page; slot = slot mod t.tuples_per_page }
 
+let head t key = match Key_table.find t.heads key with v -> v | exception Not_found -> None
+
 let insert_version t ~key ~row ~xmin =
   Schema.check_row t.schema row;
-  let prev = Key_table.find_opt t.heads key in
+  let prev = head t key in
   let tuple = { tid = fresh_tid t; key; row; xmin; xmax = invalid_xid; prev } in
-  Key_table.replace t.heads key tuple;
+  Key_table.replace t.heads key (Some tuple);
   tuple
 
 let set_xmax tuple xid = tuple.xmax <- xid
 
-let head t key = Key_table.find_opt t.heads key
-
 let unlink_head t key =
-  match Key_table.find_opt t.heads key with
+  match head t key with
   | None -> invalid_arg "Heap.unlink_head: no versions for key"
   | Some tuple -> (
       match tuple.prev with
       | None -> Key_table.remove t.heads key
-      | Some older -> Key_table.replace t.heads key older)
+      | Some _ as older -> Key_table.replace t.heads key older)
 
 let versions tuple =
   let rec seq v () =
@@ -70,8 +72,11 @@ let versions tuple =
   in
   seq (Some tuple)
 
-let iter_heads t f = Key_table.iter (fun _ tuple -> f tuple) t.heads
-let fold_heads t ~init ~f = Key_table.fold (fun _ tuple acc -> f acc tuple) t.heads init
+let iter_heads t f = Key_table.iter (fun _ head -> Option.iter f head) t.heads
+
+let fold_heads t ~init ~f =
+  Key_table.fold (fun _ head acc -> match head with Some v -> f acc v | None -> acc) t.heads init
+
 let cardinal t = Key_table.length t.heads
 
 let npages t = 1 + ((max 0 (t.next_slot - 1)) / t.tuples_per_page)
@@ -84,17 +89,13 @@ let rewrite t =
   (* Relocate every version of every chain to a fresh location, as a
      rewriting DDL statement does.  Iteration order is unspecified, which is
      fine: only the fact that locations change matters. *)
-  Key_table.iter
-    (fun _ head_tuple -> Seq.iter (fun v -> v.tid <- fresh_tid t) (versions head_tuple))
-    t.heads
+  iter_heads t (fun head_tuple -> Seq.iter (fun v -> v.tid <- fresh_tid t) (versions head_tuple))
 
 let prune t ~live =
-  Key_table.iter
-    (fun _ head_tuple ->
+  iter_heads t (fun head_tuple ->
       let rec cut v =
         match v.prev with
         | None -> ()
         | Some older -> if live older then cut older else v.prev <- None
       in
       cut head_tuple)
-    t.heads

@@ -54,7 +54,8 @@ val set_xmax : tuple -> xid -> unit
     rollback). *)
 
 val head : t -> Value.t -> tuple option
-(** Newest version of a row, committed or not. *)
+(** Newest version of a row, committed or not.  Allocates nothing: the
+    option is the one the heap stores. *)
 
 val unlink_head : t -> Value.t -> unit
 (** Roll back an insertion: remove the newest version of [key], restoring

@@ -3,6 +3,7 @@ open Ssi_util
 module E = Ssi_engine.Engine
 
 let table = "sibench"
+let pk_index = table ^ "_pkey"
 
 let setup ~rows db =
   E.create_table db ~name:table ~cols:[ "k"; "v" ] ~key:"k";
@@ -18,7 +19,7 @@ let query_min ~rows ~chunk txn =
   while !k < rows do
     let hi = min (rows - 1) (!k + chunk - 1) in
     let rows_chunk =
-      E.index_scan txn ~table ~index:(table ^ "_pkey") ~lo:(Value.Int !k) ~hi:(Value.Int hi)
+      E.index_scan txn ~table ~index:pk_index ~lo:(Value.Int !k) ~hi:(Value.Int hi)
     in
     List.iter
       (fun row ->

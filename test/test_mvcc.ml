@@ -64,6 +64,18 @@ let test_snapshot_sees () =
 
 (* ---- Visibility ----------------------------------------------------------------- *)
 
+type verdict = Visible of int option | Invisible of int option
+
+(* The walk's verdict on a version with no older versions: visible, with
+   its deleter conflict, or invisible, with the creator read around. *)
+let walk_verdict c snap (t : Heap.tuple) =
+  let around = ref [] in
+  match Visibility.visible c snap ~around:(fun w -> around := w :: !around) (Some t) with
+  | Some v ->
+      let d = Visibility.deleter c snap v in
+      Visible (if d = Heap.invalid_xid then None else Some d)
+  | None -> Invisible (match !around with [ w ] -> Some w | _ -> None)
+
 (* A tiny fixture: [committed_before] is a committed transaction visible in
    the snapshot; [concurrent] is one that commits after it. *)
 let fixture () =
@@ -79,7 +91,7 @@ let test_visible_plain () =
   let c, heap, before, _, snap = fixture () in
   let t = Heap.insert_version heap ~key:(Value.Int 1) ~row:(row 1) ~xmin:before in
   Alcotest.(check bool) "visible, no conflict" true
-    (Visibility.check c snap t = Visibility.Visible None)
+    (walk_verdict c snap t = Visible None)
 
 let test_invisible_future_creator () =
   let c, heap, _, _, snap = fixture () in
@@ -87,10 +99,10 @@ let test_invisible_future_creator () =
   let t = Heap.insert_version heap ~key:(Value.Int 1) ~row:(row 1) ~xmin:w in
   (* In-progress creator: invisible, and a conflict out to the creator. *)
   Alcotest.(check bool) "in-progress creator conflicts" true
-    (Visibility.check c snap t = Visibility.Invisible (Some w));
+    (walk_verdict c snap t = Invisible (Some w));
   ignore (Clog.commit c w);
   Alcotest.(check bool) "committed-after-snapshot creator conflicts" true
-    (Visibility.check c snap t = Visibility.Invisible (Some w))
+    (walk_verdict c snap t = Invisible (Some w))
 
 let test_invisible_aborted_creator () =
   let c, heap, _, _, snap = fixture () in
@@ -98,7 +110,7 @@ let test_invisible_aborted_creator () =
   Clog.abort c w;
   let t = Heap.insert_version heap ~key:(Value.Int 1) ~row:(row 1) ~xmin:w in
   Alcotest.(check bool) "aborted creator: no conflict" true
-    (Visibility.check c snap t = Visibility.Invisible None)
+    (walk_verdict c snap t = Invisible None)
 
 let test_visible_with_concurrent_deleter () =
   let c, heap, before, _, snap = fixture () in
@@ -106,10 +118,10 @@ let test_visible_with_concurrent_deleter () =
   let deleter = Clog.new_xid c in
   Heap.set_xmax t deleter;
   Alcotest.(check bool) "still visible, conflict out to deleter" true
-    (Visibility.check c snap t = Visibility.Visible (Some deleter));
+    (walk_verdict c snap t = Visible (Some deleter));
   ignore (Clog.commit c deleter);
   Alcotest.(check bool) "deleter committed after snapshot: same" true
-    (Visibility.check c snap t = Visibility.Visible (Some deleter))
+    (walk_verdict c snap t = Visible (Some deleter))
 
 let test_deleted_before_snapshot () =
   let c = Clog.create () in
@@ -123,16 +135,16 @@ let test_deleted_before_snapshot () =
   let reader = Clog.new_xid c in
   let snap = Snapshot.take c ~owner:reader in
   Alcotest.(check bool) "cleanly deleted: invisible, no conflict" true
-    (Visibility.check c snap t = Visibility.Invisible None)
+    (walk_verdict c snap t = Invisible None)
 
 let test_own_writes () =
   let c, heap, _, reader, snap = fixture () in
   let t = Heap.insert_version heap ~key:(Value.Int 1) ~row:(row 1) ~xmin:reader in
   Alcotest.(check bool) "own insert visible" true
-    (Visibility.check c snap t = Visibility.Visible None);
+    (walk_verdict c snap t = Visible None);
   Heap.set_xmax t reader;
   Alcotest.(check bool) "own delete invisible" true
-    (Visibility.check c snap t = Visibility.Invisible None)
+    (walk_verdict c snap t = Invisible None)
 
 let test_aborted_deleter_ignored () =
   let c, heap, before, _, snap = fixture () in
@@ -141,7 +153,13 @@ let test_aborted_deleter_ignored () =
   Heap.set_xmax t deleter;
   Clog.abort c deleter;
   Alcotest.(check bool) "aborted deleter: visible, no conflict" true
-    (Visibility.check c snap t = Visibility.Visible None)
+    (walk_verdict c snap t = Visible None)
+
+(* Run the walk from the chain head, collecting the writers read around. *)
+let walk c snap head =
+  let around = ref [] in
+  let v = Visibility.visible c snap ~around:(fun w -> around := w :: !around) (Some head) in
+  (v, List.rev !around)
 
 let test_latest_visible_walk () =
   let c, heap, before, _, snap = fixture () in
@@ -151,11 +169,11 @@ let test_latest_visible_walk () =
   Heap.set_xmax v1 w;
   let v2 = Heap.insert_version heap ~key:(Value.Int 1) ~row:(row 1) ~xmin:w in
   ignore (Clog.commit c w);
-  match Visibility.latest_visible c snap v2 with
-  | Some (t, deleter), conflicts ->
+  match walk c snap v2 with
+  | Some t, around ->
       Alcotest.(check bool) "found the old version" true (t == v1);
-      Alcotest.(check bool) "deleter conflict" true (deleter = Some w);
-      Alcotest.(check (list int)) "creator conflict collected on the way" [ w ] conflicts
+      Alcotest.(check int) "deleter conflict" w (Visibility.deleter c snap t);
+      Alcotest.(check (list int)) "creator conflict reported on the way" [ w ] around
   | None, _ -> Alcotest.fail "no visible version"
 
 let test_latest_visible_none () =
@@ -163,9 +181,104 @@ let test_latest_visible_none () =
   let w = Clog.new_xid c in
   let v = Heap.insert_version heap ~key:(Value.Int 1) ~row:(row 1) ~xmin:w in
   ignore (Clog.commit c w);
-  match Visibility.latest_visible c snap v with
-  | None, conflicts -> Alcotest.(check (list int)) "conflict out" [ w ] conflicts
+  match walk c snap v with
+  | None, around -> Alcotest.(check (list int)) "conflict out" [ w ] around
   | Some _, _ -> Alcotest.fail "should be invisible"
+
+(* ---- Walk equivalence with the version-at-a-time reference ----------------------- *)
+
+(* The semantics the walk replaced, one version at a time: a verdict per
+   version, and a chain walk that collects the read-around creators into
+   a list and returns the visible version with its deleter conflict. *)
+module Reference = struct
+  let conflict_writer c (snap : Snapshot.t) w =
+    if w = Heap.invalid_xid || w = snap.owner then None
+    else
+      match Clog.status c w with
+      | Clog.Aborted -> None
+      | Clog.In_progress -> Some w
+      | Clog.Committed cs -> if cs >= snap.horizon then Some w else None
+
+  let check c (snap : Snapshot.t) (t : Heap.tuple) =
+    if Snapshot.sees_xid c snap t.xmin then
+      if t.xmax = Heap.invalid_xid then Visible None
+      else if t.xmax = snap.owner then Invisible None
+      else if Snapshot.sees_xid c snap t.xmax then Invisible None
+      else Visible (conflict_writer c snap t.xmax)
+    else Invisible (conflict_writer c snap t.xmin)
+
+  let latest_visible c snap head =
+    let rec go (v : Heap.tuple option) conflicts =
+      match v with
+      | None -> (None, List.rev conflicts)
+      | Some t -> (
+          match check c snap t with
+          | Visible deleter -> (Some (t, deleter), List.rev conflicts)
+          | Invisible (Some w) -> go t.prev (w :: conflicts)
+          | Invisible None -> go t.prev conflicts)
+    in
+    go (Some head) []
+end
+
+(* A writer's fate relative to the reader's snapshot. *)
+type fate = Before | After | Running | Aborted | Own
+
+let fate_gen = QCheck.Gen.oneofl [ Before; After; Running; Aborted; Own ]
+
+let print_fate = function
+  | Before -> "before"
+  | After -> "after"
+  | Running -> "running"
+  | Aborted -> "aborted"
+  | Own -> "own"
+
+(* A chain, oldest version first: each version's creator and deleter as
+   indexes into the writer fates ([None]: no deleter). *)
+let chain_arb =
+  let open QCheck in
+  let writers = Gen.list_size (Gen.int_range 1 5) fate_gen in
+  let version n = Gen.(pair (int_bound (n - 1)) (opt (int_bound (n - 1)))) in
+  make
+    ~print:Print.(pair (list print_fate) (list (pair int (option int))))
+    Gen.(
+      writers >>= fun ws ->
+      pair (return ws) (list_size (int_range 1 6) (version (List.length ws))))
+
+let prop_walk_matches_reference =
+  QCheck.Test.make ~name:"walk matches the version-at-a-time reference" ~count:500 chain_arb
+    (fun (fates, versions) ->
+      let c = Clog.create () in
+      let reader = Clog.new_xid c in
+      let xids = List.map (fun f -> if f = Own then reader else Clog.new_xid c) fates in
+      let resolve fate =
+        List.iter2 (fun f x -> if f = fate then ignore (Clog.commit c x)) fates xids
+      in
+      resolve Before;
+      let snap = Snapshot.take c ~owner:reader in
+      resolve After;
+      List.iter2 (fun f x -> if f = Aborted then Clog.abort c x) fates xids;
+      let xid i = List.nth xids i in
+      let heap = Heap.create schema in
+      let head =
+        List.fold_left
+          (fun _ (creator, deleter) ->
+            let v = Heap.insert_version heap ~key:(Value.Int 1) ~row:(row 1) ~xmin:(xid creator) in
+            Option.iter (fun d -> Heap.set_xmax v (xid d)) deleter;
+            Some v)
+          None versions
+        |> Option.get
+      in
+      let expected, expected_around = Reference.latest_visible c snap head in
+      let got, around = walk c snap head in
+      let same_version =
+        match (expected, got) with
+        | None, None -> true
+        | Some (e, deleter), Some g ->
+            e == g
+            && Option.value deleter ~default:Heap.invalid_xid = Visibility.deleter c snap g
+        | Some _, None | None, Some _ -> false
+      in
+      same_version && expected_around = around)
 
 let () =
   Alcotest.run "mvcc"
@@ -190,4 +303,5 @@ let () =
           Alcotest.test_case "latest_visible walk" `Quick test_latest_visible_walk;
           Alcotest.test_case "latest_visible none" `Quick test_latest_visible_none;
         ] );
+      ("walk", [ QCheck_alcotest.to_alcotest prop_walk_matches_reference ]);
     ]

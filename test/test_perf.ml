@@ -18,7 +18,9 @@
      commits, victims by reason, latency percentiles — must be identical
      across runs on the virtual clock;
    - a budgeted deep-savepoint test that fails if rollback cost returns
-     to quadratic in the undo-log length. *)
+     to quadratic in the undo-log length;
+   - exact allocation budgets for the read path, per operation and
+     isolation level, and zero words for a covered SIREAD request. *)
 
 open Ssi_storage
 open Ssi_workload
@@ -283,6 +285,107 @@ let test_deep_savepoint_rollback_linear () =
        (levels * per_level))
     true (!elapsed < 5.0)
 
+(* ---- Allocation budgets on the read path --------------------------------- *)
+
+(* Exact minor-heap words per operation, gated.  The read path allocates
+   nothing per row but the rows it returns, so these figures are exact
+   for a fixed build; each budget is the measured figure plus at most 2%,
+   and a change that brings back a per-row temporary fails here.  (A
+   50-row scan returns 450 words: each row's 3-word array and the 3-word
+   cons cells of the result list, built reversed and then reversed.) *)
+
+let alloc_table = Sibench.table
+let alloc_index = Sibench.table ^ "_pkey"
+
+let alloc_db () =
+  let db = E.create () in
+  Sibench.setup ~rows:100 db;
+  db
+
+(* Words [op] allocates, each time in a fresh transaction from [start]
+   after [prepare] ran in it: the least over five runs, after one
+   warm-up, so a one-off table resize elsewhere does not count. *)
+let words_per_op db ~start ~prepare op =
+  let once i =
+    let t = start db in
+    prepare t;
+    let w0 = Gc.minor_words () in
+    op t i;
+    let w = Gc.minor_words () -. w0 in
+    E.commit t;
+    w
+  in
+  ignore (once 0);
+  List.fold_left min infinity (List.init 5 (fun i -> once (i + 1)))
+
+let scan_50 t _ =
+  ignore (E.index_scan t ~table:alloc_table ~index:alloc_index ~lo:(vi 0) ~hi:(vi 49))
+
+let no_prepare _ = ()
+let si db = E.begin_txn ~isolation:E.Repeatable_read db
+let ssi db = E.begin_txn db
+let ssi_ro db = E.begin_txn ~read_only:true db
+let s2pl db = E.begin_txn ~isolation:E.Serializable_2pl db
+
+(* name, transaction, work done before measuring, measured op, budget in
+   words (the figure measured when the budget was set, plus 2%) *)
+let alloc_cases =
+  let read t i = ignore (E.read t ~table:alloc_table ~key:(vi i)) in
+  let update t i =
+    ignore (E.update t ~table:alloc_table ~key:(vi (50 + i)) ~f:(fun row -> [| row.(0); vi i |]))
+  in
+  [
+    ("index_scan 50 rows, SI", si, no_prepare, scan_50, 593.);
+    ("index_scan 50 rows, SSI safe snapshot", ssi_ro, no_prepare, scan_50, 593.);
+    ("index_scan 50 rows, SSI tracked", ssi, no_prepare, scan_50, 1713.);
+    ( "index_scan 50 rows, SSI tracked, rows already covered",
+      ssi,
+      (fun t -> scan_50 t 0),
+      scan_50,
+      633. );
+    ("index_scan 50 rows, S2PL", s2pl, no_prepare, scan_50, 5059.);
+    ("read, SSI tracked", ssi, no_prepare, read, 308.);
+    ("update, SSI tracked", ssi, no_prepare, update, 456.);
+  ]
+
+let alloc_test (name, start, prepare, op, budget) =
+  Alcotest.test_case name `Quick (fun () ->
+      let w = words_per_op (alloc_db ()) ~start ~prepare op in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.0f words <= %.0f" name w budget)
+        true (w <= budget))
+
+(* A SIREAD lock request the transaction's coarser lock already covers,
+   through the relation cache or the page memo, allocates nothing: not in
+   the lock manager, not in the certifier. *)
+let test_covered_read_allocates_nothing () =
+  let module C = Ssi_core.Certifier in
+  let clog = Ssi_mvcc.Mvcc.Clog.create () in
+  let cert = C.make C.SSI clog in
+  let xid = Ssi_mvcc.Mvcc.Clog.new_xid clog in
+  let node = cert.C.register ~xid ~snap_cseq:1 ~read_only:false ~deferrable:false in
+  let key = vi 3 and keys = [ vi 3; vi 4; vi 5 ] in
+  cert.C.read_relation node ~rel:"r";
+  P.lock_page cert.C.locks ~owner:xid ~rel:"s" ~page:7;
+  let words f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  List.iter
+    (fun (what, f) -> Alcotest.(check (float 0.)) (what ^ ": words") 0. (words f))
+    [
+      ("relation-covered read_tuple", fun () -> cert.C.read_tuple node ~rel:"r" ~key ~page:2);
+      ( "relation-covered read_tuples_page",
+        fun () -> cert.C.read_tuples_page node ~rel:"r" ~page:2 ~keys );
+      ("page-covered read_tuple", fun () -> cert.C.read_tuple node ~rel:"s" ~key ~page:7);
+      ( "page-covered read_tuples_page",
+        fun () -> cert.C.read_tuples_page node ~rel:"s" ~page:7 ~keys );
+      ( "page-covered lock_tuple",
+        fun () -> P.lock_tuple cert.C.locks ~owner:xid ~rel:"s" ~key ~page:7 );
+    ];
+  Alcotest.(check int) "no tuple lock taken" 2 (P.owner_lock_count cert.C.locks xid)
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -295,6 +398,12 @@ let () =
           Alcotest.test_case "sibench driver replay" `Quick test_sibench_replay;
           Alcotest.test_case "tpcc driver replay" `Quick test_tpcc_replay;
         ] );
+      ( "alloc",
+        List.map alloc_test alloc_cases
+        @ [
+            Alcotest.test_case "covered SIREAD read allocates nothing" `Quick
+              test_covered_read_allocates_nothing;
+          ] );
       ( "complexity",
         [
           Alcotest.test_case "deep savepoint rollback linear" `Quick

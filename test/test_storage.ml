@@ -29,6 +29,14 @@ let prop_equal_hash =
     QCheck.(pair value_arb value_arb)
     (fun (a, b) -> (not (Value.equal a b)) || Value.hash a = Value.hash b)
 
+(* [Value.hash (Int i)] computes [Hashtbl.hash (float_of_int i)] without
+   boxing the float.  Heap chains and predicate-lock tables iterate in
+   hash order, so the value must be exactly the runtime's, on every int. *)
+let prop_int_hash_is_float_hash =
+  QCheck.Test.make ~name:"Int hash = Hashtbl.hash of its float" ~count:2000
+    QCheck.(oneof [ int; small_signed_int; oneofl [ 0; -1; max_int; min_int; 1 lsl 53 ] ])
+    (fun i -> Value.hash (Value.Int i) = Hashtbl.hash (float_of_int i))
+
 let test_numeric_cross_type () =
   Alcotest.(check bool) "Int = Float" true (Value.equal (Value.Int 3) (Value.Float 3.));
   Alcotest.(check int) "hash compatible" (Value.hash (Value.Int 3))
@@ -164,7 +172,8 @@ let () =
           Alcotest.test_case "rank order" `Quick test_value_rank_order;
           Alcotest.test_case "accessors" `Quick test_accessors;
         ] );
-      qsuite "value-props" [ prop_compare_total_order; prop_equal_hash ];
+      qsuite "value-props"
+        [ prop_compare_total_order; prop_equal_hash; prop_int_hash_is_float_hash ];
       ( "schema",
         [
           Alcotest.test_case "basics" `Quick test_schema_basics;
