@@ -174,11 +174,12 @@ let write_json ~quick () =
 
 (* ---- §8.1 microbenchmarks: real CPU cost of read tracking ------------------- *)
 
-(* Bechamel measures the actual wall-clock cost of one SIBENCH query or
-   update transaction per isolation level on this machine — the real-OCaml
-   counterpart of the paper's "tracking read dependencies has a CPU
-   overhead of 10-20%" claim.  Wall time is noisy from run to run, so
-   each transaction's exact minor-heap words are reported beside it. *)
+(* The real cost of one SIBENCH query or update transaction per isolation
+   level on this machine — the real-OCaml counterpart of the paper's
+   "tracking read dependencies has a CPU overhead of 10-20%" claim — in
+   two measures: exact minor-heap words, the same on every run of one
+   build, and process CPU time, which is noisy and so reported as a median
+   and interquartile range over interleaved rounds. *)
 
 let micro_rows = 500
 
@@ -214,31 +215,10 @@ let micro_txns () =
     txn_of "update/S2PL" E.Serializable_2pl `Update;
   ]
 
-let micro_results () =
-  let open Bechamel in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in
-  let results = ref [] in
-  List.iter
-    (fun (name, run) ->
-      let raw = Benchmark.all cfg [ instance ] (Test.make ~name (Staged.stage run)) in
-      let analyzed = Analyze.all ols instance raw in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some [ ns ] -> results := (name, ns) :: !results
-          | Some _ | None -> ())
-        analyzed)
-    (micro_txns ());
-  List.sort compare !results
-
 (* Exact minor-heap words per transaction: the mean of 200 runs after one
    warm-up, each transaction on its own fresh database, so the figures
    are the same on every run of one build. *)
-let micro_words () =
+let micro_words txns =
   let runs = 200 in
   List.map
     (fun (name, run) ->
@@ -248,27 +228,70 @@ let micro_words () =
         run ()
       done;
       (name, (Gc.minor_words () -. w0) /. float_of_int runs))
-    (micro_txns ())
+    txns
+
+(* CPU microseconds per transaction: each round times a batch of every
+   transaction in turn, so a slow stretch of the machine lands on all of
+   them alike.  Returns each transaction's per-round samples, in round
+   order, so ratios can be taken round by round. *)
+let micro_rounds = 21
+let micro_batch = 100
+
+let micro_cpu txns =
+  let samples = List.map (fun (name, _) -> (name, Ssi_util.Stats.create ())) txns in
+  List.iter (fun (_, run) -> run ()) txns;
+  for _ = 1 to micro_rounds do
+    List.iter
+      (fun (name, run) ->
+        let t0 = Sys.time () in
+        for _ = 1 to micro_batch do
+          run ()
+        done;
+        let us = (Sys.time () -. t0) *. 1e6 /. float_of_int micro_batch in
+        Ssi_util.Stats.add (List.assoc name samples) us)
+      txns
+  done;
+  samples
+
+let median_iqr st =
+  Ssi_util.Stats.(median st, percentile st 0.25, percentile st 0.75)
+
+(* Round-by-round ratio of [name]'s CPU to [base]'s. *)
+let cpu_ratio cpu name base =
+  let a = Ssi_util.Stats.values (List.assoc name cpu)
+  and b = Ssi_util.Stats.values (List.assoc base cpu) in
+  let r = Ssi_util.Stats.create () in
+  Array.iteri (fun i x -> Ssi_util.Stats.add r (x /. b.(i))) a;
+  median_iqr r
 
 let micro () =
   banner "Microbenchmark (§8.1): cost per transaction by isolation level";
-  let words = micro_words () in
-  let results = micro_results () in
-  let vs_si table name x =
-    let si = if String.starts_with ~prefix:"query" name then "query/SI" else "update/SI" in
-    x /. (try List.assoc si table with Not_found -> nan)
-  in
-  Printf.printf "%-18s %12s %10s %12s %10s\n" "transaction" "ns/txn" "vs SI" "words/txn" "vs SI";
+  let txns = micro_txns () in
+  let words = micro_words txns in
+  let cpu = micro_cpu txns in
+  let base name = if String.starts_with ~prefix:"query" name then "query/SI" else "update/SI" in
+  Printf.printf "%-16s %12s %10s %10s %17s\n" "transaction" "words/txn" "vs SI" "cpu us/txn"
+    "IQR";
   List.iter
-    (fun (name, ns) ->
-      let w = try List.assoc name words with Not_found -> nan in
-      Printf.printf "%-18s %12.0f %9.2fx %12.0f %9.2fx\n" name ns (vs_si results name ns) w
-        (vs_si words name w))
-    results;
+    (fun (name, w) ->
+      let med, q1, q3 = median_iqr (List.assoc name cpu) in
+      Printf.printf "%-16s %12.0f %9.2fx %10.1f %8.1f - %6.1f\n" name w
+        (w /. List.assoc (base name) words)
+        med q1 q3)
+    words;
+  Printf.printf "\n%-24s %10s %22s\n" "ratio to query/SI" "words" "cpu median (IQR)";
+  List.iter
+    (fun name ->
+      let med, q1, q3 = cpu_ratio cpu name "query/SI" in
+      Printf.printf "%-24s %9.2fx %9.2fx (%.2f - %.2f)\n" name
+        (List.assoc name words /. List.assoc "query/SI" words)
+        med q1 q3)
+    [ "query/SSI"; "query/S2PL" ];
   Printf.printf
-    "(query/SSI vs SI is the read-tracking CPU overhead, paper: 10-20%%;\n\
-    \ query/SSI-safe shows the safe-snapshot optimization recovering it;\n\
-    \ the words columns are exact, the ns columns wall-clock estimates)\n"
+    "(cpu ratios are taken round by round over %d interleaved rounds of %d runs;\n\
+    \ paper: read tracking costs SSI 10-20%% over SI, i.e. 1.10x-1.20x;\n\
+    \ query/SSI-safe shows the safe-snapshot optimization recovering it)\n"
+    micro_rounds micro_batch
 
 (* ---- Regression gate ------------------------------------------------------------ *)
 

@@ -4,7 +4,7 @@ module Obs = Ssi_obs.Obs
 type xid = Heap.xid
 type cseq = Ssi_mvcc.Mvcc.cseq
 
-type target =
+type target = Locktab.target =
   | Relation of string
   | Page of string * int
   | Tuple of string * Value.t
@@ -13,14 +13,7 @@ type target =
   | Index_inf of string
   | Index_rel of string
 
-let pp_target ppf = function
-  | Relation r -> Format.fprintf ppf "rel:%s" r
-  | Page (r, p) -> Format.fprintf ppf "page:%s/%d" r p
-  | Tuple (r, k) -> Format.fprintf ppf "tuple:%s/%a" r Value.pp k
-  | Index_page (i, p) -> Format.fprintf ppf "idxpage:%s/%d" i p
-  | Index_key (i, k) -> Format.fprintf ppf "idxkey:%s/%a" i Value.pp k
-  | Index_inf i -> Format.fprintf ppf "idxinf:%s" i
-  | Index_rel i -> Format.fprintf ppf "idx:%s" i
+let pp_target = Locktab.pp_target
 
 type config = {
   max_tuple_locks_per_page : int;
@@ -30,63 +23,6 @@ type config = {
 
 let default_config =
   { max_tuple_locks_per_page = 4; max_page_locks_per_relation = 16; max_page_locks_per_index = 16 }
-
-module Target_table = Hashtbl.Make (struct
-  type t = target
-
-  let equal a b =
-    match (a, b) with
-    | Relation x, Relation y -> String.equal x y
-    | Page (r, p), Page (r', p') -> String.equal r r' && p = p'
-    | Tuple (r, k), Tuple (r', k') -> String.equal r r' && Value.equal k k'
-    | Index_page (i, p), Index_page (i', p') -> String.equal i i' && p = p'
-    | Index_key (i, k), Index_key (i', k') -> String.equal i i' && Value.equal k k'
-    | Index_inf x, Index_inf y -> String.equal x y
-    | Index_rel x, Index_rel y -> String.equal x y
-    | (Relation _ | Page _ | Tuple _ | Index_page _ | Index_key _ | Index_inf _ | Index_rel _), _
-      ->
-        false
-
-  (* Mixes the name's hash with the other component and the kind's tag
-     arithmetically: no tuple is built just to be hashed. *)
-  let mix name x tag = (((Hashtbl.hash name * 65599) + x) * 31) + tag
-
-  let hash = function
-    | Relation r -> mix r 0 0
-    | Page (r, p) -> mix r p 1
-    | Tuple (r, k) -> mix r (Value.hash k) 2
-    | Index_page (i, p) -> mix i p 3
-    | Index_rel i -> mix i 0 4
-    | Index_key (i, k) -> mix i (Value.hash k) 5
-    | Index_inf i -> mix i 0 6
-end)
-
-type entry = {
-  mutable holders : xid list;
-  mutable old_committed : cseq option;  (** dummy owner's latest recorded cseq *)
-}
-
-(* Per-owner bookkeeping enabling promotion and O(locks) release. *)
-type owner_state = {
-  held : unit Target_table.t;
-  (* Tuple locks per relation, then per heap page: the tuple targets held
-     there. *)
-  tuples_by_page : (string, (int, target list ref) Hashtbl.t) Hashtbl.t;
-  (* Heap-page locks per relation. *)
-  pages_by_rel : (string, int list ref) Hashtbl.t;
-  (* Index-page locks per index. *)
-  pages_by_index : (string, int list ref) Hashtbl.t;
-  (* Coverage cache: which relations/indexes this owner already covers at
-     the coarsest granularity, plus the last heap page whose page lock the
-     owner holds.  A scan that already holds coarse coverage skips the
-     per-tuple [held] probes entirely; kept in sync by [grant]/[forget],
-     and an owner never loses coverage except through [forget] (promotions
-     only coarsen), so a hit can never be stale. *)
-  covered_rels : (string, unit) Hashtbl.t;
-  covered_idx : (string, unit) Hashtbl.t;
-  mutable memo_rel : string;
-  mutable memo_page : int;  (** [-1]: no memo *)
-}
 
 (* Registry handles, hoisted so the hot acquisition paths touch no
    hashtable. *)
@@ -101,67 +37,184 @@ type metrics = {
   m_promotions : Obs.counter;
 }
 
-(* Min-heap of (cseq, target) for every dummy-owner mark ever recorded:
+(* Min-heap of (cseq, slot) for every dummy-owner mark ever recorded:
    {!cleanup_old_committed} pops the stale prefix instead of scanning the
    whole lock table on every commit's cleanup pass.  Items are lazily
-   revalidated against the entry's current mark (per-target marks strictly
-   increase — commit cseqs are unique — so an exact match identifies the
-   live record). *)
+   revalidated against the slot's current mark.  A slot may have been
+   freed and reused since its item was pushed, but a stale item can only
+   match a mark equal to its own cseq, whose own item pops in the same
+   pass: the outcome is that of exact per-target revalidation. *)
 module Oldc_heap = struct
-  type h = { mutable a : (cseq * target) array; mutable n : int }
+  type h = { mutable c : int array; mutable s : int array; mutable n : int }
 
-  let create () = { a = [||]; n = 0 }
+  let create () = { c = Array.make 16 0; s = Array.make 16 0; n = 0 }
 
-  let push h ((c, _) as it) =
-    if h.n = Array.length h.a then begin
-      let cap = max 16 (2 * Array.length h.a) in
-      let a' = Array.make cap it in
-      Array.blit h.a 0 a' 0 h.n;
-      h.a <- a'
+  let push h c s =
+    if h.n = Array.length h.c then begin
+      let grow a =
+        let a' = Array.make (2 * h.n) 0 in
+        Array.blit a 0 a' 0 h.n;
+        a'
+      in
+      h.c <- grow h.c;
+      h.s <- grow h.s
     end;
     let i = ref h.n in
     h.n <- h.n + 1;
-    while !i > 0 && fst h.a.((!i - 1) / 2) > c do
+    while !i > 0 && h.c.((!i - 1) / 2) > c do
       let p = (!i - 1) / 2 in
-      h.a.(!i) <- h.a.(p);
+      h.c.(!i) <- h.c.(p);
+      h.s.(!i) <- h.s.(p);
       i := p
     done;
-    h.a.(!i) <- it
-
-  let peek h = if h.n = 0 then None else Some h.a.(0)
+    h.c.(!i) <- c;
+    h.s.(!i) <- s
 
   let pop h =
-    if h.n > 0 then begin
-      h.n <- h.n - 1;
-      if h.n > 0 then begin
-        let it = h.a.(h.n) in
-        let n = h.n in
-        let i = ref 0 in
-        let stop = ref false in
-        while not !stop do
-          let l = (2 * !i) + 1 in
-          if l >= n then stop := true
-          else begin
-            let r = l + 1 in
-            let m = if r < n && fst h.a.(r) < fst h.a.(l) then r else l in
-            if fst h.a.(m) < fst it then begin
-              h.a.(!i) <- h.a.(m);
-              i := m
-            end
-            else stop := true
+    h.n <- h.n - 1;
+    let n = h.n in
+    if n > 0 then begin
+      let c = h.c.(n) and s = h.s.(n) in
+      let i = ref 0 in
+      let stop = ref false in
+      while not !stop do
+        let l = (2 * !i) + 1 in
+        if l >= n then stop := true
+        else begin
+          let r = l + 1 in
+          let m = if r < n && h.c.(r) < h.c.(l) then r else l in
+          if h.c.(m) < c then begin
+            h.c.(!i) <- h.c.(m);
+            h.s.(!i) <- h.s.(m);
+            i := m
           end
-        done;
-        h.a.(!i) <- it
-      end
+          else stop := true
+        end
+      done;
+      h.c.(!i) <- c;
+      h.s.(!i) <- s
     end
 end
 
+(* Each owner's fine locks per group, for the promotion thresholds:
+   tuple locks on one heap page (kind 0: relation and page), page locks on
+   one relation (kind 1) and page or next-key locks on one index (kind 2).
+   Every grant and every drop of such a lock moves its group's count, so a
+   threshold check costs one probe however many locks the owner holds.
+   Open-addressed on (owner record, kind, name, number), linear probing
+   with backward-shift deletion; a group's entry goes when its count
+   reaches zero. *)
+module Groups = struct
+  type t = {
+    mutable orec : int array;  (** -1: empty bucket *)
+    mutable kind : int array;
+    mutable num : int array;
+    mutable name : string array;
+    mutable count : int array;
+    mutable live : int;
+  }
+
+  let create n =
+    {
+      orec = Array.make n (-1);
+      kind = Array.make n 0;
+      num = Array.make n 0;
+      name = Array.make n "";
+      count = Array.make n 0;
+      live = 0;
+    }
+
+  let home g o k name n =
+    ((((((Hashtbl.hash name * 65599) + n) * 31) + k) * 65599) + o) land (Array.length g.orec - 1)
+
+  (* The group's bucket, or the empty bucket where it would go. *)
+  let bucket g o k name n =
+    let mask = Array.length g.orec - 1 in
+    let i = ref (home g o k name n) in
+    while
+      g.orec.(!i) >= 0
+      && not
+           (g.orec.(!i) = o && g.kind.(!i) = k && g.num.(!i) = n && String.equal g.name.(!i) name)
+    do
+      i := (!i + 1) land mask
+    done;
+    !i
+
+  let count g o k name n =
+    let i = bucket g o k name n in
+    if g.orec.(i) < 0 then 0 else g.count.(i)
+
+  let move g ~src ~dst =
+    g.orec.(dst) <- g.orec.(src);
+    g.kind.(dst) <- g.kind.(src);
+    g.num.(dst) <- g.num.(src);
+    g.name.(dst) <- g.name.(src);
+    g.count.(dst) <- g.count.(src)
+
+  let remove g i =
+    let mask = Array.length g.orec - 1 in
+    let hole = ref i and j = ref ((i + 1) land mask) in
+    while g.orec.(!j) >= 0 do
+      let h = home g g.orec.(!j) g.kind.(!j) g.name.(!j) g.num.(!j) in
+      if (!hole - h) land mask < (!j - h) land mask then begin
+        move g ~src:!j ~dst:!hole;
+        hole := !j
+      end;
+      j := (!j + 1) land mask
+    done;
+    g.orec.(!hole) <- -1;
+    g.name.(!hole) <- "";
+    g.live <- g.live - 1
+
+  let rec add g o k name n d =
+    let i = bucket g o k name n in
+    if g.orec.(i) >= 0 then begin
+      let c = g.count.(i) + d in
+      if c > 0 then g.count.(i) <- c else remove g i
+    end
+    else if d <= 0 then ()
+    else if 2 * (g.live + 1) > Array.length g.orec then begin
+      let old = { g with orec = g.orec } in
+      let size = 2 * Array.length g.orec in
+      g.orec <- Array.make size (-1);
+      g.kind <- Array.make size 0;
+      g.num <- Array.make size 0;
+      g.name <- Array.make size "";
+      g.count <- Array.make size 0;
+      Array.iteri
+        (fun j o' ->
+          if o' >= 0 then begin
+            let b = bucket g o' old.kind.(j) old.name.(j) old.num.(j) in
+            g.orec.(b) <- o';
+            g.kind.(b) <- old.kind.(j);
+            g.num.(b) <- old.num.(j);
+            g.name.(b) <- old.name.(j);
+            g.count.(b) <- old.count.(j)
+          end)
+        old.orec;
+      add g o k name n d
+    end
+    else begin
+      g.orec.(i) <- o;
+      g.kind.(i) <- k;
+      g.num.(i) <- n;
+      g.name.(i) <- name;
+      g.count.(i) <- d;
+      g.live <- g.live + 1
+    end
+end
+
+(* Slots carry the dummy owner's mark in their field.  An owner's record
+   field is its coverage memo: the slot of the last heap-page lock a tuple
+   check hit, or -1.  A holding's value is the heap page a tuple lock was
+   taken on (0 for other targets): a page lock finds the tuple locks it
+   subsumes on the owner's chain, and a holding leaves its group count
+   with it. *)
 type t = {
-  table : entry Target_table.t;
-  owners : (xid, owner_state) Hashtbl.t;
+  table : Locktab.t;
+  groups : Groups.t;
   config : config;
   oldc : Oldc_heap.h;
-  obs : Obs.t;
   metrics : metrics;
 }
 
@@ -179,11 +232,10 @@ let create ?(config = default_config) ?(obs = Obs.create ()) () =
     }
   in
   {
-    table = Target_table.create 1024;
-    owners = Hashtbl.create 64;
+    table = Locktab.create ();
+    groups = Groups.create 64;
     config;
     oldc = Oldc_heap.create ();
-    obs;
     metrics;
   }
 
@@ -196,396 +248,332 @@ let count_acquired t = function
   | Index_inf _ -> Obs.incr t.metrics.m_index_inf
   | Index_rel _ -> Obs.incr t.metrics.m_index_rel
 
-let entry_of t target =
-  match Target_table.find_opt t.table target with
-  | Some e -> e
-  | None ->
-      let e = { holders = []; old_committed = None } in
-      Target_table.add t.table target e;
-      e
-
-(* [Hashtbl.find], not [find_opt]: a lookup on the hot acquisition paths
-   allocates no option. *)
-let owner_state t owner =
-  match Hashtbl.find t.owners owner with
-  | s -> s
-  | exception Not_found ->
-      let s =
-        {
-          held = Target_table.create 16;
-          tuples_by_page = Hashtbl.create 8;
-          pages_by_rel = Hashtbl.create 4;
-          pages_by_index = Hashtbl.create 4;
-          covered_rels = Hashtbl.create 4;
-          covered_idx = Hashtbl.create 4;
-          memo_rel = "";
-          memo_page = -1;
-        }
-      in
-      Hashtbl.add t.owners owner s;
-      s
+let held t o slot = slot >= 0 && Locktab.holding t.table slot o >= 0
 
 let holds t ~owner target =
-  match Hashtbl.find t.owners owner with
-  | s -> Target_table.mem s.held target
-  | exception Not_found -> false
+  let o = Locktab.owner t.table owner in
+  o >= 0 && held t o (Locktab.find t.table target)
 
-let maybe_drop_entry t target e =
-  if e.holders = [] && e.old_committed = None then Target_table.remove t.table target
-
-(* Record [cseq] as the dummy owner's mark on [target] if newer than the
+(* Record [cseq] as the dummy owner's mark on [slot] if newer than the
    current one, and index it in the cleanup heap.  Marks only ever grow
    (commit cseqs are unique), so pushing exactly on change keeps the heap's
    exact-match revalidation sound. *)
-let set_old_committed t target (e : entry) cseq =
-  match e.old_committed with
-  | Some c when c >= cseq -> ()
-  | Some _ | None ->
-      e.old_committed <- Some cseq;
-      Oldc_heap.push t.oldc (cseq, target)
-
-let set_memo state rel page =
-  state.memo_rel <- rel;
-  state.memo_page <- page
-
-let memo_hit state rel page = page = state.memo_page && String.equal rel state.memo_rel
-
-(* Remove [target] from both the shared table and the owner's bookkeeping
-   (except the per-page/per-rel counters, which callers maintain). *)
-let cache_granted state = function
-  | Relation r -> Hashtbl.replace state.covered_rels r ()
-  | Index_rel i -> Hashtbl.replace state.covered_idx i ()
-  | Page (r, p) -> set_memo state r p
-  | Tuple _ | Index_page _ | Index_key _ | Index_inf _ -> ()
-
-let cache_forgotten state = function
-  | Relation r -> Hashtbl.remove state.covered_rels r
-  | Index_rel i -> Hashtbl.remove state.covered_idx i
-  | Page (r, p) -> if memo_hit state r p then state.memo_page <- -1
-  | Tuple _ | Index_page _ | Index_key _ | Index_inf _ -> ()
-
-let forget t owner state target =
-  if Target_table.mem state.held target then begin
-    Target_table.remove state.held target;
-    cache_forgotten state target;
-    match Target_table.find_opt t.table target with
-    | None -> ()
-    | Some e ->
-        e.holders <- List.filter (fun o -> o <> owner) e.holders;
-        maybe_drop_entry t target e
+let set_old_committed t slot cseq =
+  let m = Locktab.field t.table slot in
+  if m = Locktab.none || m < cseq then begin
+    Locktab.set_field t.table slot cseq;
+    Oldc_heap.push t.oldc cseq slot
   end
 
-let grant t owner state target =
-  if not (Target_table.mem state.held target) then begin
-    Target_table.replace state.held target ();
-    cache_granted state target;
-    let e = entry_of t target in
-    e.holders <- owner :: e.holders;
+let memo_hit t o rel page =
+  let m = Locktab.owner_field t.table o in
+  m >= 0
+  &&
+  match Locktab.target t.table m with
+  | Page (r, p) -> p = page && String.equal r rel
+  | Relation _ | Tuple _ | Index_page _ | Index_key _ | Index_inf _ | Index_rel _ -> false
+
+let tuples_on_page = 0
+let pages_of_rel = 1
+let fine_of_index = 2
+
+(* Count a holding of [o] on [target] (value [v]) into its group. *)
+let move_group t o target v d =
+  match target with
+  | Tuple (r, _) -> Groups.add t.groups o tuples_on_page r v d
+  | Page (r, _) -> Groups.add t.groups o pages_of_rel r 0 d
+  | Index_page (i, _) | Index_key (i, _) -> Groups.add t.groups o fine_of_index i 0 d
+  | Relation _ | Index_inf _ | Index_rel _ -> ()
+
+(* Remove node [n] of owner [o], keeping its group's count. *)
+let unhold t o n =
+  let tab = t.table in
+  move_group t o (Locktab.target tab (Locktab.slot tab n)) (Locktab.value tab n) (-1);
+  Locktab.remove tab n
+
+(* Drop [o]'s holding on [slot], if any. *)
+let forget t o slot =
+  let tab = t.table in
+  let n = if slot >= 0 then Locktab.holding tab slot o else -1 in
+  if n >= 0 then begin
+    if Locktab.owner_field tab o = slot then Locktab.set_owner_field tab o (-1);
+    unhold t o n;
+    Locktab.drop_if_idle tab slot
+  end
+
+(* Give [o] a holding on [slot] unless it has one; [page] is the heap page
+   of a tuple lock. *)
+let grant_slot t o slot ~page =
+  let tab = t.table in
+  if Locktab.holding tab slot o >= 0 then false
+  else begin
+    ignore (Locktab.add tab ~slot ~owner:o page);
+    let target = Locktab.target tab slot in
+    move_group t o target page 1;
+    (match target with
+    | Page _ -> Locktab.set_owner_field tab o slot
+    | Relation _ | Tuple _ | Index_page _ | Index_key _ | Index_inf _ | Index_rel _ -> ());
     count_acquired t target;
     true
   end
-  else false
+
+let grant t o target ~page = grant_slot t o (Locktab.intern t.table target) ~page
+
+(* Classes of an owner's fine-grained locks, as predicates on a holding's
+   target and value; [name] is a relation or an index. *)
+let rel_fine name _ tg _ =
+  match tg with
+  | Page (r, _) | Tuple (r, _) -> String.equal r name
+  | Relation _ | Index_page _ | Index_key _ | Index_inf _ | Index_rel _ -> false
+
+let page_tuples name page tg v =
+  v = page
+  &&
+  match tg with
+  | Tuple (r, _) -> String.equal r name
+  | Relation _ | Page _ | Index_page _ | Index_key _ | Index_inf _ | Index_rel _ -> false
+
+let index_pages name _ tg _ =
+  match tg with
+  | Index_page (i, _) -> String.equal i name
+  | Relation _ | Page _ | Tuple _ | Index_key _ | Index_inf _ | Index_rel _ -> false
+
+let index_fine name _ tg _ =
+  match tg with
+  | Index_page (i, _) | Index_key (i, _) | Index_inf i -> String.equal i name
+  | Relation _ | Page _ | Tuple _ | Index_rel _ -> false
+
+let count_held t o cls name page =
+  let tab = t.table in
+  let c = ref 0 and n = ref (Locktab.first_held tab o) in
+  while !n >= 0 do
+    if cls name page (Locktab.target tab (Locktab.slot tab !n)) (Locktab.value tab !n) then incr c;
+    n := Locktab.next_held tab !n
+  done;
+  !c
+
+let forget_held t o cls name page =
+  let tab = t.table in
+  let n = ref (Locktab.first_held tab o) in
+  while !n >= 0 do
+    let next = Locktab.next_held tab !n in
+    let slot = Locktab.slot tab !n in
+    if cls name page (Locktab.target tab slot) (Locktab.value tab !n) then forget t o slot;
+    n := next
+  done
+
+let covered_rel t o rel = held t o (Locktab.find_relation t.table rel)
+let covered_index t o index = held t o (Locktab.find_index_rel t.table index)
 
 let lock_relation t ~owner ~rel =
-  let state = owner_state t owner in
-  ignore (grant t owner state (Relation rel))
+  ignore (grant t (Locktab.owner_record t.table owner) (Relation rel) ~page:0)
 
 let lock_index_rel t ~owner ~index =
-  let state = owner_state t owner in
-  ignore (grant t owner state (Index_rel index))
+  ignore (grant t (Locktab.owner_record t.table owner) (Index_rel index) ~page:0)
 
 (* Promote all of the owner's page and tuple locks on [rel] to a single
    relation lock. *)
-let promote_owner_relation t owner state rel =
+let promote_owner_relation t o rel =
   Obs.incr t.metrics.m_promotions;
-  (match Hashtbl.find_opt state.pages_by_rel rel with
-  | None -> ()
-  | Some pages ->
-      List.iter (fun p -> forget t owner state (Page (rel, p))) !pages;
-      Hashtbl.remove state.pages_by_rel rel);
-  (match Hashtbl.find_opt state.tuples_by_page rel with
-  | None -> ()
-  | Some pages ->
-      Hashtbl.iter (fun _ targets -> List.iter (forget t owner state) !targets) pages;
-      Hashtbl.remove state.tuples_by_page rel);
-  ignore (grant t owner state (Relation rel))
+  forget_held t o rel_fine rel 0;
+  ignore (grant t o (Relation rel) ~page:0)
 
-let lock_page t ~owner ~rel ~page =
-  let state = owner_state t owner in
-  if Hashtbl.mem state.covered_rels rel then ()
-  else if grant t owner state (Page (rel, page)) then begin
+let lock_page_o t o ~rel ~page =
+  if covered_rel t o rel then ()
+  else if grant t o (Page (rel, page)) ~page:0 then begin
     (* Page lock subsumes the owner's tuple locks on that page. *)
-    (match Hashtbl.find_opt state.tuples_by_page rel with
-    | None -> ()
-    | Some pages -> (
-        match Hashtbl.find_opt pages page with
-        | None -> ()
-        | Some targets ->
-            List.iter (forget t owner state) !targets;
-            Hashtbl.remove pages page));
-    let pages =
-      match Hashtbl.find_opt state.pages_by_rel rel with
-      | Some l -> l
-      | None ->
-          let l = ref [] in
-          Hashtbl.add state.pages_by_rel rel l;
-          l
-    in
-    pages := page :: !pages;
-    if List.length !pages > t.config.max_page_locks_per_relation then
-      promote_owner_relation t owner state rel
+    forget_held t o page_tuples rel page;
+    if Groups.count t.groups o pages_of_rel rel 0 > t.config.max_page_locks_per_relation then
+      promote_owner_relation t o rel
   end
 
-(* Coarse coverage of a heap tuple: relation-level (cache), page-level via
-   the single-page memo, or page-level via the owner's page list for the
-   relation (which refreshes the memo, so a scan's next tuple on the same
-   page hits the memo).  [pages_by_rel] lists exactly the owner's held
-   [Page] targets, so no target is built to probe [held]; [List.memq] is
-   exact on ints.  Nothing here allocates. *)
-let tuple_covered state ~rel ~page =
-  Hashtbl.mem state.covered_rels rel
-  || memo_hit state rel page
+let lock_page t ~owner ~rel ~page = lock_page_o t (Locktab.owner_record t.table owner) ~rel ~page
+
+(* Coarse coverage of a heap tuple: relation-level, page-level via the
+   single-page memo, or page-level via the table (which refreshes the
+   memo, so a scan's next tuple on the same page hits the memo).  Nothing
+   here allocates. *)
+let tuple_covered t o ~rel ~page =
+  covered_rel t o rel
+  || memo_hit t o rel page
   ||
-  match Hashtbl.find state.pages_by_rel rel with
-  | pages when List.memq page !pages ->
-      set_memo state rel page;
-      true
-  | _ -> false
-  | exception Not_found -> false
+  let slot = Locktab.find_page t.table rel page in
+  held t o slot
+  && begin
+       Locktab.set_owner_field t.table o slot;
+       true
+     end
 
 let covers_tuple t ~owner ~rel ~page =
-  match Hashtbl.find t.owners owner with
-  | state -> tuple_covered state ~rel ~page
-  | exception Not_found -> false
+  let o = Locktab.owner t.table owner in
+  o >= 0 && tuple_covered t o ~rel ~page
 
-let lock_tuple_slow t owner state ~rel ~key ~page =
-  let target = Tuple (rel, key) in
-  if grant t owner state target then begin
-    let pages =
-      match Hashtbl.find_opt state.tuples_by_page rel with
-      | Some pages -> pages
-      | None ->
-          let pages = Hashtbl.create 8 in
-          Hashtbl.add state.tuples_by_page rel pages;
-          pages
-    in
-    let tuples =
-      match Hashtbl.find_opt pages page with
-      | Some l -> l
-      | None ->
-          let l = ref [] in
-          Hashtbl.add pages page l;
-          l
-    in
-    tuples := target :: !tuples;
-    if List.length !tuples > t.config.max_tuple_locks_per_page then begin
+let lock_tuple_slow t o ~rel ~key ~page =
+  let slot =
+    let s = Locktab.find_tuple t.table rel key in
+    if s >= 0 then s else Locktab.intern t.table (Tuple (rel, key))
+  in
+  if grant_slot t o slot ~page then
+    let tuples = Groups.count t.groups o tuples_on_page rel page in
+    if tuples > t.config.max_tuple_locks_per_page then begin
       Obs.incr t.metrics.m_promotions;
-      lock_page t ~owner ~rel ~page
+      lock_page_o t o ~rel ~page
     end
-  end
 
 let lock_tuple t ~owner ~rel ~key ~page =
-  let state = owner_state t owner in
-  if tuple_covered state ~rel ~page then ()
-  else lock_tuple_slow t owner state ~rel ~key ~page
+  let o = Locktab.owner_record t.table owner in
+  if tuple_covered t o ~rel ~page then ()
+  else lock_tuple_slow t o ~rel ~key ~page
+
+(* Re-check before each key: acquiring one may promote the owner to page
+   or relation coverage, after which the remaining keys are no-ops —
+   exactly as sequential [lock_tuple] calls behave. *)
+let rec lock_keys t o ~rel ~page = function
+  | [] -> ()
+  | key :: keys ->
+      if not (covered_rel t o rel || memo_hit t o rel page) then
+        lock_tuple_slow t o ~rel ~key ~page;
+      lock_keys t o ~rel ~page keys
 
 let lock_tuples_page t ~owner ~rel ~page ~keys =
-  let state = owner_state t owner in
-  if not (tuple_covered state ~rel ~page) then
-    List.iter
-      (fun key ->
-        (* Re-check before each key: acquiring one may promote the owner to
-           page or relation coverage, after which the remaining keys are
-           no-ops — exactly as sequential [lock_tuple] calls behave.  The
-           re-check hits the cache/memo, never the [held] table. *)
-        if not (Hashtbl.mem state.covered_rels rel || memo_hit state rel page) then
-          lock_tuple_slow t owner state ~rel ~key ~page)
-      keys
+  let o = Locktab.owner_record t.table owner in
+  if not (tuple_covered t o ~rel ~page) then lock_keys t o ~rel ~page keys
 
 (* Promote all of the owner's index-page locks on [index] to a whole-index
    lock. *)
-let promote_owner_index t owner state index =
+let promote_owner_index t o index =
   Obs.incr t.metrics.m_promotions;
-  (match Hashtbl.find_opt state.pages_by_index index with
-  | None -> ()
-  | Some pages ->
-      List.iter (fun p -> forget t owner state (Index_page (index, p))) !pages;
-      Hashtbl.remove state.pages_by_index index);
-  ignore (grant t owner state (Index_rel index))
+  forget_held t o index_pages index 0;
+  ignore (grant t o (Index_rel index) ~page:0)
 
 (* Next-key gap locks share the per-index promotion budget with page
-   locks: too many fine index locks promote to a whole-index lock. *)
-let note_index_fine t owner state index target =
-  ignore target;
-  let fine =
-    match Hashtbl.find_opt state.pages_by_index index with
-    | Some l -> l
-    | None ->
-        let l = ref [] in
-        Hashtbl.add state.pages_by_index index l;
-        l
-  in
-  fine := -1 :: !fine;
-  if List.length !fine > t.config.max_page_locks_per_index then begin
-    (* Drop all fine-grained locks on this index (we do not track their
-       identities individually here; scan the owner's held set). *)
+   locks: too many fine index locks promote to a whole-index lock, which
+   drops every fine lock on the index, the above-highest gap included. *)
+let note_index_fine t o index =
+  if Groups.count t.groups o fine_of_index index 0 > t.config.max_page_locks_per_index then begin
     Obs.incr t.metrics.m_promotions;
-    let stale = ref [] in
-    Target_table.iter
-      (fun tg () ->
-        match tg with
-        | Index_page (i, _) | Index_key (i, _) -> if i = index then stale := tg :: !stale
-        | Index_inf i -> if i = index then stale := tg :: !stale
-        | Relation _ | Page _ | Tuple _ | Index_rel _ -> ())
-      state.held;
-    List.iter (forget t owner state) !stale;
-    Hashtbl.remove state.pages_by_index index;
-    ignore (grant t owner state (Index_rel index))
+    forget_held t o index_fine index 0;
+    ignore (grant t o (Index_rel index) ~page:0)
   end
 
 let lock_index_key t ~owner ~index ~key =
-  let state = owner_state t owner in
-  if Hashtbl.mem state.covered_idx index then ()
-  else if grant t owner state (Index_key (index, key)) then
-    note_index_fine t owner state index (Index_key (index, key))
+  let o = Locktab.owner_record t.table owner in
+  if covered_index t o index then ()
+  else if grant t o (Index_key (index, key)) ~page:0 then note_index_fine t o index
 
 let lock_index_inf t ~owner ~index =
-  let state = owner_state t owner in
-  if Hashtbl.mem state.covered_idx index then ()
-  else ignore (grant t owner state (Index_inf index))
+  let o = Locktab.owner_record t.table owner in
+  if covered_index t o index then () else ignore (grant t o (Index_inf index) ~page:0)
 
 let lock_index_page t ~owner ~index ~page =
-  let state = owner_state t owner in
-  if Hashtbl.mem state.covered_idx index then ()
-  else if grant t owner state (Index_page (index, page)) then begin
-    let pages =
-      match Hashtbl.find_opt state.pages_by_index index with
-      | Some l -> l
-      | None ->
-          let l = ref [] in
-          Hashtbl.add state.pages_by_index index l;
-          l
-    in
-    pages := page :: !pages;
-    if List.length !pages > t.config.max_page_locks_per_index then
-      promote_owner_index t owner state index
-  end
+  let o = Locktab.owner_record t.table owner in
+  if covered_index t o index then ()
+  else if grant t o (Index_page (index, page)) ~page:0 then
+    if Groups.count t.groups o fine_of_index index 0 > t.config.max_page_locks_per_index then
+      promote_owner_index t o index
 
 let unlock_tuple t ~owner ~rel ~key =
-  match Hashtbl.find_opt t.owners owner with
-  | None -> ()
-  | Some state ->
-      let target = Tuple (rel, key) in
-      if Target_table.mem state.held target then begin
-        forget t owner state target;
-        (* Also forget it in the per-page lists (linear, lists are short by
-           construction: promotion caps them). *)
-        Hashtbl.iter
-          (fun _ pages ->
-            Hashtbl.iter
-              (fun _ targets ->
-                targets :=
-                  List.filter
-                    (fun tg ->
-                      match tg with
-                      | Tuple (r, k) -> not (r = rel && Value.equal k key)
-                      | Relation _ | Page _ | Index_page _ | Index_key _ | Index_inf _
-                      | Index_rel _ ->
-                          true)
-                    !targets)
-              pages)
-          state.tuples_by_page
-      end
+  let o = Locktab.owner t.table owner in
+  if o >= 0 then forget t o (Locktab.find_tuple t.table rel key)
 
 type readers = { xids : xid list; old_committed : cseq option }
 
-let collect t targets =
-  (* Coarsest to finest, per §5.2.1. *)
-  let xids = ref [] and old_c = ref None in
+(* Holders of the given slots (-1: absent), coarsest to finest per §5.2.1,
+   each slot's newest first, without repeats. *)
+let collect t slots =
+  let tab = t.table in
+  let xids = ref [] and old_c = ref Locktab.none in
   List.iter
-    (fun target ->
-      match Target_table.find_opt t.table target with
-      | None -> ()
-      | Some e ->
-          List.iter (fun o -> if not (List.mem o !xids) then xids := o :: !xids) e.holders;
-          (match (e.old_committed, !old_c) with
-          | Some c, Some c' -> if c > c' then old_c := Some c
-          | Some c, None -> old_c := Some c
-          | None, _ -> ()))
-    targets;
-  { xids = List.rev !xids; old_committed = !old_c }
+    (fun slot ->
+      if slot >= 0 then begin
+        let n = ref (Locktab.first_holder tab slot) in
+        while !n >= 0 do
+          let o = Locktab.holder tab !n in
+          if not (List.mem o !xids) then xids := o :: !xids;
+          n := Locktab.next_holder tab !n
+        done;
+        old_c := max !old_c (Locktab.field tab slot)
+      end)
+    slots;
+  { xids = List.rev !xids; old_committed = (if !old_c = Locktab.none then None else Some !old_c) }
 
 let readers_for_write t ~rel ~key ~page =
-  collect t [ Relation rel; Page (rel, page); Tuple (rel, key) ]
+  let tab = t.table in
+  collect t
+    [
+      Locktab.find_relation tab rel; Locktab.find_page tab rel page; Locktab.find_tuple tab rel key;
+    ]
 
 let readers_for_index_insert t ~index ~page =
-  collect t [ Index_rel index; Index_page (index, page) ]
+  let tab = t.table in
+  collect t [ Locktab.find_index_rel tab index; Locktab.find_index_page tab index page ]
+
+let gap_target index = function
+  | Some s -> Index_key (index, s)
+  | None -> Index_inf index
 
 let readers_for_index_insert_nextkey t ~index ~key ~succ =
-  let gap =
-    match succ with Some s -> Index_key (index, s) | None -> Index_inf index
-  in
-  collect t [ Index_rel index; Index_key (index, key); gap ]
+  let tab = t.table in
+  collect t
+    [
+      Locktab.find_index_rel tab index;
+      Locktab.find tab (Index_key (index, key));
+      Locktab.find tab (gap_target index succ);
+    ]
 
-let release_owner t owner =
-  match Hashtbl.find_opt t.owners owner with
-  | None -> ()
-  | Some state ->
-      Target_table.iter
-        (fun target () ->
-          match Target_table.find_opt t.table target with
-          | None -> ()
-          | Some e ->
-              e.holders <- List.filter (fun o -> o <> owner) e.holders;
-              maybe_drop_entry t target e)
-        state.held;
-      Hashtbl.remove t.owners owner
+(* Drop every holding of [owner], first applying [on_slot] to each held
+   slot, and recycle its record. *)
+let retire_owner t owner on_slot cseq =
+  let tab = t.table in
+  let o = Locktab.owner tab owner in
+  if o >= 0 then begin
+    let n = ref (Locktab.first_held tab o) in
+    while !n >= 0 do
+      let next = Locktab.next_held tab !n in
+      let slot = Locktab.slot tab !n in
+      unhold t o !n;
+      on_slot t slot cseq;
+      Locktab.drop_if_idle tab slot;
+      n := next
+    done;
+    Locktab.free_owner tab o
+  end
 
-let summarize_owner t owner ~cseq =
-  match Hashtbl.find_opt t.owners owner with
-  | None -> ()
-  | Some state ->
-      Target_table.iter
-        (fun target () ->
-          match Target_table.find_opt t.table target with
-          | None -> ()
-          | Some e ->
-              e.holders <- List.filter (fun o -> o <> owner) e.holders;
-              set_old_committed t target e cseq)
-        state.held;
-      Hashtbl.remove t.owners owner
+let release_owner t owner = retire_owner t owner (fun _ _ _ -> ()) 0
+let summarize_owner t owner ~cseq = retire_owner t owner set_old_committed cseq
 
 let cleanup_old_committed t ~before =
   (* Pop the heap's stale prefix; each item is revalidated against the
-     entry's current mark, so items superseded by a newer mark (or cleared
+     slot's current mark, so items superseded by a newer mark (or cleared
      by the DDL paths) are skipped. *)
-  let continue_ = ref true in
-  while !continue_ do
-    match Oldc_heap.peek t.oldc with
-    | Some (c, target) when c < before ->
-        Oldc_heap.pop t.oldc;
-        (match Target_table.find_opt t.table target with
-        | Some e when e.old_committed = Some c ->
-            e.old_committed <- None;
-            maybe_drop_entry t target e
-        | Some _ | None -> ())
-    | Some _ | None -> continue_ := false
+  let h = t.oldc and tab = t.table in
+  while h.Oldc_heap.n > 0 && h.c.(0) < before do
+    let c = h.c.(0) and slot = h.s.(0) in
+    Oldc_heap.pop h;
+    if Locktab.field tab slot = c then begin
+      Locktab.set_field tab slot Locktab.none;
+      Locktab.drop_if_idle tab slot
+    end
   done
 
+let holder_list t slot =
+  let tab = t.table in
+  let rec go n = if n < 0 then [] else Locktab.holder tab n :: go (Locktab.next_holder tab n) in
+  go (Locktab.first_holder tab slot)
+
+(* Copy [src]'s holders and mark onto [dst] through [lock], the owner's
+   lock call for [dst]: coverage only widens. *)
+let copy_locks t src dst lock =
+  let slot = Locktab.find t.table src in
+  if slot >= 0 then begin
+    let holders = holder_list t slot and old_c = Locktab.field t.table slot in
+    List.iter lock holders;
+    if old_c <> Locktab.none then set_old_committed t (Locktab.intern t.table dst) old_c
+  end
+
 let on_index_page_split t ~index ~old_page ~new_page =
-  match Target_table.find_opt t.table (Index_page (index, old_page)) with
-  | None -> ()
-  | Some e ->
-      let holders = e.holders and old_c = e.old_committed in
-      List.iter
-        (fun owner ->
-          let state = owner_state t owner in
-          lock_index_page t ~owner ~index ~page:new_page;
-          ignore state)
-        holders;
-      (match old_c with
-      | Some c -> set_old_committed t (Index_page (index, new_page)) (entry_of t (Index_page (index, new_page))) c
-      | None -> ())
+  copy_locks t (Index_page (index, old_page)) (Index_page (index, new_page)) (fun owner ->
+      lock_index_page t ~owner ~index ~page:new_page)
 
 (* Gap-lock inheritance for next-key locking.  A reader's lock on an index
    key guards the open gap below that key; when a physical index-entry
@@ -596,24 +584,11 @@ let on_index_page_split t ~index ~old_page ~new_page =
    worst case is a spurious rw conflict, never a hidden one.  This mirrors
    {!on_index_page_split}, which does the same for page-granularity gaps. *)
 let inherit_gap_locks t ~src ~dst =
-  match Target_table.find_opt t.table src with
-  | None -> ()
-  | Some e ->
-      let holders = e.holders and old_c = e.old_committed in
-      List.iter
-        (fun owner ->
-          match dst with
-          | Index_key (index, key) -> lock_index_key t ~owner ~index ~key
-          | Index_inf index -> lock_index_inf t ~owner ~index
-          | Relation _ | Page _ | Tuple _ | Index_page _ | Index_rel _ -> ())
-        holders;
-      (match old_c with
-      | Some c -> set_old_committed t dst (entry_of t dst) c
-      | None -> ())
-
-let gap_target index = function
-  | Some s -> Index_key (index, s)
-  | None -> Index_inf index
+  copy_locks t src dst (fun owner ->
+      match dst with
+      | Index_key (index, key) -> lock_index_key t ~owner ~index ~key
+      | Index_inf index -> lock_index_inf t ~owner ~index
+      | Relation _ | Page _ | Tuple _ | Index_page _ | Index_rel _ -> ())
 
 let on_index_key_insert t ~index ~key ~succ =
   inherit_gap_locks t ~src:(gap_target index succ) ~dst:(Index_key (index, key))
@@ -621,106 +596,77 @@ let on_index_key_insert t ~index ~key ~succ =
 let on_index_key_remove t ~index ~key ~succ =
   inherit_gap_locks t ~src:(Index_key (index, key)) ~dst:(gap_target index succ)
 
+(* Clear the dummy owner's marks on every slot whose target satisfies
+   [matches], and return the newest of them ([Locktab.none] if none). *)
+let clear_dummy t matches =
+  let tab = t.table in
+  let newest = ref Locktab.none and stale = ref [] in
+  Locktab.iter_slots tab (fun slot ->
+      let c = Locktab.field tab slot in
+      if c <> Locktab.none && matches (Locktab.target tab slot) then begin
+        newest := max !newest c;
+        stale := slot :: !stale
+      end);
+  List.iter
+    (fun slot ->
+      Locktab.set_field tab slot Locktab.none;
+      Locktab.drop_if_idle tab slot)
+    !stale;
+  !newest
+
 let promote_relation t ~rel =
   (* Every owner's page/tuple locks on [rel] become a relation lock; the
      dummy owner's become a dummy relation-level lock. *)
-  let owners_to_promote = ref [] in
-  Hashtbl.iter
-    (fun owner state ->
-      let has_fine =
-        Hashtbl.mem state.pages_by_rel rel
-        ||
-        match Hashtbl.find_opt state.tuples_by_page rel with
-        | Some pages -> Hashtbl.fold (fun _ targets acc -> acc || !targets <> []) pages false
-        | None -> false
-      in
-      if has_fine then owners_to_promote := (owner, state) :: !owners_to_promote)
-    t.owners;
-  List.iter (fun (owner, state) -> promote_owner_relation t owner state rel) !owners_to_promote;
-  (* Dummy-owner fine-grained locks on rel. *)
-  let dummy_cseq = ref None in
-  let stale = ref [] in
-  Target_table.iter
-    (fun target (e : entry) ->
-      let matches =
-        match target with
-        | Page (r, _) | Tuple (r, _) -> r = rel
-        | Relation _ | Index_page _ | Index_key _ | Index_inf _ | Index_rel _ -> false
-      in
-      if matches then
-        match e.old_committed with
-        | Some c ->
-            (dummy_cseq :=
-               match !dummy_cseq with Some c' -> Some (max c c') | None -> Some c);
-            stale := (target, e) :: !stale
-        | None -> ())
-    t.table;
-  List.iter
-    (fun (target, (e : entry)) ->
-      e.old_committed <- None;
-      maybe_drop_entry t target e)
-    !stale;
-  match !dummy_cseq with
-  | None -> ()
-  | Some c -> set_old_committed t (Relation rel) (entry_of t (Relation rel)) c
+  let tab = t.table in
+  let owners = ref [] in
+  Locktab.iter_owners tab (fun o ->
+      if count_held t o rel_fine rel 0 > 0 then owners := o :: !owners);
+  List.iter (fun o -> promote_owner_relation t o rel) (List.rev !owners);
+  let c = clear_dummy t (fun tg -> rel_fine rel 0 tg 0) in
+  if c <> Locktab.none then set_old_committed t (Locktab.intern tab (Relation rel)) c
 
 let drop_index_to_relation t ~index ~heap_rel =
-  let affected_owners = ref [] in
-  let dummy_cseq = ref None in
-  let stale = ref [] in
-  Target_table.iter
-    (fun target (e : entry) ->
-      let matches =
-        match target with
-        | Index_page (i, _) | Index_key (i, _) | Index_inf i | Index_rel i -> i = index
-        | Relation _ | Page _ | Tuple _ -> false
-      in
-      if matches then begin
-        List.iter
-          (fun o -> if not (List.mem o !affected_owners) then affected_owners := o :: !affected_owners)
-          e.holders;
-        (match e.old_committed with
-        | Some c ->
-            dummy_cseq := (match !dummy_cseq with Some c' -> Some (max c c') | None -> Some c)
-        | None -> ());
-        stale := target :: !stale
-      end)
-    t.table;
+  let tab = t.table in
+  let on_index = function
+    | Index_page (i, _) | Index_key (i, _) | Index_inf i | Index_rel i -> String.equal i index
+    | Relation _ | Page _ | Tuple _ -> false
+  in
+  let owners = ref [] in
+  Locktab.iter_owners tab (fun o ->
+      let n = ref (Locktab.first_held tab o) in
+      while !n >= 0 do
+        if on_index (Locktab.target tab (Locktab.slot tab !n)) then begin
+          owners := o :: !owners;
+          n := -1
+        end
+        else n := Locktab.next_held tab !n
+      done);
   List.iter
-    (fun owner ->
-      match Hashtbl.find_opt t.owners owner with
-      | None -> ()
-      | Some state ->
-          List.iter (forget t owner state) !stale;
-          Hashtbl.remove state.pages_by_index index;
-          ignore (grant t owner state (Relation heap_rel)))
-    !affected_owners;
-  List.iter
-    (fun target ->
-      match Target_table.find_opt t.table target with
-      | None -> ()
-      | Some e ->
-          e.old_committed <- None;
-          maybe_drop_entry t target e)
-    !stale;
-  match !dummy_cseq with
-  | None -> ()
-  | Some c -> set_old_committed t (Relation heap_rel) (entry_of t (Relation heap_rel)) c
+    (fun o ->
+      forget_held t o index_fine index 0;
+      forget t o (Locktab.find_index_rel tab index);
+      ignore (grant t o (Relation heap_rel) ~page:0))
+    (List.rev !owners);
+  let c = clear_dummy t on_index in
+  if c <> Locktab.none then set_old_committed t (Locktab.intern tab (Relation heap_rel)) c
 
 let dump t =
-  Target_table.fold
-    (fun target (e : entry) acc -> (target, e.holders, e.old_committed) :: acc)
-    t.table []
+  let tab = t.table and acc = ref [] in
+  Locktab.iter_slots tab (fun slot ->
+      let c = Locktab.field tab slot in
+      acc :=
+        (Locktab.target tab slot, holder_list t slot, if c = Locktab.none then None else Some c)
+        :: !acc);
+  List.rev !acc
 
 let owner_lock_count t owner =
-  match Hashtbl.find_opt t.owners owner with
-  | None -> 0
-  | Some state -> Target_table.length state.held
+  let o = Locktab.owner t.table owner in
+  if o < 0 then 0 else Locktab.owner_count t.table o
 
 let total_lock_count t =
-  Target_table.fold
-    (fun _ (e : entry) acc ->
-      acc + List.length e.holders + (match e.old_committed with Some _ -> 1 | None -> 0))
-    t.table 0
+  let n = ref (Locktab.holdings t.table) in
+  Locktab.iter_slots t.table (fun slot ->
+      if Locktab.field t.table slot <> Locktab.none then incr n);
+  !n
 
 let promotions t = Obs.counter_value t.metrics.m_promotions

@@ -15,27 +15,27 @@
 
     The lock manager also implements the DDL interactions of §5.2.1
     ({!promote_relation} for table rewrites, {!drop_index_to_relation} for
-    index removal) and lock transfer on index-page splits. *)
+    index removal) and lock transfer on index-page splits.
+
+    Locks live in a {!Ssi_storage.Locktab}, shared in design with the
+    heavyweight lock manager.  Once its arrays have grown to the working
+    set, a grant allocates nothing beyond the target it stores, and
+    {!holds}, {!covers_tuple}, {!unlock_tuple}, {!release_owner},
+    {!summarize_owner} and {!cleanup_old_committed} allocate nothing. *)
 
 open Ssi_storage
 
 type xid = Heap.xid
 type cseq = Ssi_mvcc.Mvcc.cseq
 
-type target =
+type target = Locktab.target =
   | Relation of string
   | Page of string * int
   | Tuple of string * Value.t
   | Index_page of string * int
   | Index_key of string * Value.t
-      (** Next-key gap lock: covers the gap below (and the entries at)
-          this index key — the refinement to ARIES/KVL-style next-key
-          locking the paper names as future work (§5.2.1). *)
   | Index_inf of string
-      (** The gap above the highest key of the index. *)
   | Index_rel of string
-      (** Whole-index lock, used by promotion and by index access methods
-          that do not support predicate locking (§7.4). *)
 
 val pp_target : Format.formatter -> target -> unit
 
@@ -156,8 +156,9 @@ val drop_index_to_relation : t -> index:string -> heap_rel:string -> unit
 (** {1 Introspection} *)
 
 val dump : t -> (target * xid list * cseq option) list
-(** Every lock-table entry: target, live holders, and the dummy owner's
-    recorded cseq if present — the pg_locks view of the SIREAD table. *)
+(** Every lock-table entry: target, live holders newest first, and the
+    dummy owner's recorded cseq if present — the pg_locks view of the
+    SIREAD table.  Entries come in lock-table slot order. *)
 
 val owner_lock_count : t -> xid -> int
 val total_lock_count : t -> int

@@ -537,19 +537,6 @@ let ensure_running txn =
   if txn.prepared_gid <> None then invalid_arg "Engine: transaction is prepared";
   match txn.sxact with Some node -> txn.db.cert.Certifier.check_doomed node | None -> ()
 
-let start_op txn =
-  ensure_running txn;
-  (* Per-statement snapshots: READ COMMITTED semantics, and the way the
-     2PL baseline sees the latest committed data once its locks are held. *)
-  match txn.iso with
-  | Read_committed | Serializable_2pl ->
-      txn.snapshot <- Snapshot.take txn.db.clog ~owner:txn.txn_xid
-  | Repeatable_read | Serializable -> ()
-
-let ensure_writable txn = if txn.ro then raise Read_only_transaction
-
-let is_2pl txn = txn.iso = Serializable_2pl
-
 (* Per-statement-snapshot modes must re-take their snapshot after any
    blocking lock acquisition: the snapshot must reflect the commits the
    granted lock now protects against, or a 2PL reader would see stale data
@@ -557,8 +544,21 @@ let is_2pl txn = txn.iso = Serializable_2pl
 let refresh_stmt_snapshot txn =
   match txn.iso with
   | Read_committed | Serializable_2pl ->
-      txn.snapshot <- Snapshot.take txn.db.clog ~owner:txn.txn_xid
+      (* Unchanged while nothing commits: keep the current record. *)
+      let clog = txn.db.clog in
+      if txn.snapshot.Snapshot.horizon <> Clog.next_cseq clog then
+        txn.snapshot <- Snapshot.take clog ~owner:txn.txn_xid
   | Repeatable_read | Serializable -> ()
+
+let start_op txn =
+  ensure_running txn;
+  (* Per-statement snapshots: READ COMMITTED semantics, and the way the
+     2PL baseline sees the latest committed data once its locks are held. *)
+  refresh_stmt_snapshot txn
+
+let ensure_writable txn = if txn.ro then raise Read_only_transaction
+
+let is_2pl txn = txn.iso = Serializable_2pl
 
 (* ---- Undo ------------------------------------------------------------------- *)
 
@@ -731,29 +731,28 @@ let ssi_lock_index_gaps db node idx ~lo ~hi =
       ~on_page:(fun page -> cert.Certifier.read_index_gap node ~index ~page)
       (fun _ _ -> ())
 
+let index_page_held db ~owner index p =
+  Lockmgr.holds db.locks ~owner (Lockmgr.Index_page (index, p)) Lockmgr.S
+
+let rec index_pages_held db ~owner index = function
+  | [] -> true
+  | p :: pages -> index_page_held db ~owner index p && index_pages_held db ~owner index pages
+
 (* Under 2PL an index probe is only valid once shared locks on the visited
    leaf pages are held: acquiring a lock can block, and by the time it is
    granted the tree may have changed.  Rescan until every visited page was
-   already locked before the scan. *)
-let rec lock_index_probe txn idx ~probe =
-  let db = txn.db in
+   already locked before the scan.  Returns the entries of [lo, hi] and
+   the visited pages. *)
+let rec lock_index_probe txn idx ~lo ~hi =
+  let db = txn.db and owner = txn.txn_xid and index = idx.idx_name in
   let pages = ref [] in
-  let result = probe ~pages in
-  let unheld =
-    List.filter
-      (fun p ->
-        not (Lockmgr.holds db.locks ~owner:txn.txn_xid (Lockmgr.Index_page (idx.idx_name, p))
-               Lockmgr.S))
-      !pages
-  in
-  if unheld = [] then (result, !pages)
+  let entries = Btree.range idx.tree ~lo ~hi ~pages in
+  if index_pages_held db ~owner index !pages then (entries, !pages)
   else begin
     List.iter
-      (fun p ->
-        Lockmgr.acquire db.locks ~owner:txn.txn_xid (Lockmgr.Index_page (idx.idx_name, p))
-          Lockmgr.S)
-      unheld;
-    lock_index_probe txn idx ~probe
+      (fun p -> Lockmgr.acquire db.locks ~owner (Lockmgr.Index_page (index, p)) Lockmgr.S)
+      (List.filter (fun p -> not (index_page_held db ~owner index p)) !pages);
+    lock_index_probe txn idx ~lo ~hi
   end
 
 (* The visible version of [key], as the heap chain's own option cell. *)
@@ -764,11 +763,7 @@ let fetch txn tbl key ~for_write =
   if is_2pl txn then begin
     Lockmgr.acquire db.locks ~owner:txn.txn_xid (Lockmgr.Relation rel)
       (if for_write then Lockmgr.IX else Lockmgr.IS);
-    ignore
-      (lock_index_probe txn tbl.pk_index ~probe:(fun ~pages ->
-           Btree.iter_range tbl.pk_index.tree ~lo:key ~hi:key
-             ~on_page:(fun p -> pages := p :: !pages)
-             (fun _ _ -> ())));
+    ignore (lock_index_probe txn tbl.pk_index ~lo:key ~hi:key);
     Lockmgr.acquire db.locks ~owner:txn.txn_xid (Lockmgr.Tuple (rel, key))
       (if for_write then Lockmgr.X else Lockmgr.S);
     refresh_stmt_snapshot txn
@@ -887,9 +882,7 @@ let index_scan txn ~table ~index ~lo ~hi =
                collected first, as of the probe that found every page
                locked. *)
             Lockmgr.acquire db.locks ~owner:txn.txn_xid (Lockmgr.Relation rel) Lockmgr.IS;
-            let entries, pages =
-              lock_index_probe txn idx ~probe:(fun ~pages -> Btree.range idx.tree ~lo ~hi ~pages)
-            in
+            let entries, pages = lock_index_probe txn idx ~lo ~hi in
             refresh_stmt_snapshot txn;
             npages := List.length pages;
             List.iter (fun (ikey, pk) -> scan_row ikey pk) entries

@@ -2,17 +2,16 @@ open Ssi_util
 open Ssi_storage
 module Obs = Ssi_obs.Obs
 
-type target =
+type target = Locktab.target =
   | Relation of string
   | Page of string * int
   | Tuple of string * Value.t
   | Index_page of string * int
+  | Index_key of string * Value.t
+  | Index_inf of string
+  | Index_rel of string
 
-let pp_target ppf = function
-  | Relation r -> Format.fprintf ppf "rel:%s" r
-  | Page (r, p) -> Format.fprintf ppf "page:%s/%d" r p
-  | Tuple (r, k) -> Format.fprintf ppf "tuple:%s/%a" r Value.pp k
-  | Index_page (i, p) -> Format.fprintf ppf "idxpage:%s/%d" i p
+let pp_target = Locktab.pp_target
 
 type mode = IS | IX | S | SIX | X
 
@@ -40,6 +39,10 @@ let covers held requested =
 
 exception Deadlock of { victim : Heap.xid; cycle : Heap.xid list }
 
+(* A mode travels through the lock table as its node's int value. *)
+let int_of_mode = function IS -> 0 | IX -> 1 | S -> 2 | SIX -> 3 | X -> 4
+let modes = [| IS; IX; S; SIX; X |]
+
 type request = {
   req_owner : Heap.xid;
   req_mode : mode;
@@ -47,32 +50,13 @@ type request = {
   signal : Waitq.t;
 }
 
-type lock = {
-  mutable holders : (Heap.xid * mode) list;  (** one entry per (owner, mode) *)
-  waiters : request Queue.t;
-}
-
-module Target_table = Hashtbl.Make (struct
-  type t = target
-
-  let equal a b =
-    match (a, b) with
-    | Relation x, Relation y -> String.equal x y
-    | Page (r, p), Page (r', p') -> String.equal r r' && p = p'
-    | Tuple (r, k), Tuple (r', k') -> String.equal r r' && Value.equal k k'
-    | Index_page (i, p), Index_page (i', p') -> String.equal i i' && p = p'
-    | (Relation _ | Page _ | Tuple _ | Index_page _), _ -> false
-
-  let hash = function
-    | Relation r -> Hashtbl.hash (0, r)
-    | Page (r, p) -> Hashtbl.hash (1, r, p)
-    | Tuple (r, k) -> Hashtbl.hash (2, r, Value.hash k)
-    | Index_page (i, p) -> Hashtbl.hash (3, i, p)
-end)
-
+(* A target's holders are the nodes on its slot, one per (owner, mode),
+   newest first.  Its FIFO wait queue lives in [queues] only while it is
+   non-empty; [waiting] counts the queued requests, so an uncontended
+   grant skips [queues] whenever nothing waits anywhere. *)
 type t = {
-  table : lock Target_table.t;
-  owned : (Heap.xid, target list ref) Hashtbl.t;
+  table : Locktab.t;
+  queues : (int, request Queue.t) Hashtbl.t;
   sched : Waitq.scheduler;
   obs : Obs.t;
   mutable waiting : int;
@@ -82,8 +66,8 @@ type t = {
 
 let create ?(obs = Obs.create ()) sched =
   {
-    table = Target_table.create 512;
-    owned = Hashtbl.create 64;
+    table = Locktab.create ();
+    queues = Hashtbl.create 16;
     sched;
     obs;
     waiting = 0;
@@ -91,33 +75,42 @@ let create ?(obs = Obs.create ()) sched =
     m_deadlocks = Obs.counter obs "lockmgr.deadlocks";
   }
 
-let get_lock t target =
-  match Target_table.find_opt t.table target with
-  | Some l -> l
-  | None ->
-      let l = { holders = []; waiters = Queue.create () } in
-      Target_table.add t.table target l;
-      l
+let mode_of tab n = modes.(Locktab.value tab n)
 
-let note_owned t owner target =
-  match Hashtbl.find_opt t.owned owner with
-  | Some l -> l := target :: !l
-  | None -> Hashtbl.add t.owned owner (ref [ target ])
+let rec held_from tab n ~owner ~mode =
+  n >= 0
+  && ((Locktab.holder tab n = owner && covers (mode_of tab n) mode)
+     || held_from tab (Locktab.next_holder tab n) ~owner ~mode)
 
-let conflicts_with_holders lock ~owner ~mode =
-  List.exists (fun (o, m) -> o <> owner && not (compatible m mode)) lock.holders
+let rec conflicts_from tab n ~owner ~mode =
+  n >= 0
+  && ((Locktab.holder tab n <> owner && not (compatible (mode_of tab n) mode))
+     || conflicts_from tab (Locktab.next_holder tab n) ~owner ~mode)
+
+let holds_slot t slot ~owner ~mode =
+  held_from t.table (Locktab.first_holder t.table slot) ~owner ~mode
+
+let conflicts_with_holders t slot ~owner ~mode =
+  conflicts_from t.table (Locktab.first_holder t.table slot) ~owner ~mode
+
+let queued t slot = t.waiting > 0 && Hashtbl.mem t.queues slot
 
 let holds t ~owner target mode =
-  match Target_table.find_opt t.table target with
-  | None -> false
-  | Some lock -> List.exists (fun (o, m) -> o = owner && covers m mode) lock.holders
+  let slot = Locktab.find t.table target in
+  slot >= 0 && holds_slot t slot ~owner ~mode
+
+let holders_of t slot =
+  let tab = t.table in
+  let rec go n =
+    if n < 0 then [] else (Locktab.holder tab n, mode_of tab n) :: go (Locktab.next_holder tab n)
+  in
+  go (Locktab.first_holder tab slot)
 
 let held_by t target =
-  match Target_table.find_opt t.table target with None -> [] | Some l -> l.holders
+  let slot = Locktab.find t.table target in
+  if slot < 0 then [] else holders_of t slot
 
-let lock_count t =
-  Target_table.fold (fun _ l acc -> acc + List.length l.holders) t.table 0
-
+let lock_count t = Locktab.holdings t.table
 let waiting_count t = t.waiting
 
 (* ---- Deadlock detection ------------------------------------------------ *)
@@ -126,12 +119,12 @@ let waiting_count t = t.waiting
    where Y either holds an incompatible mode or is queued ahead of X with an
    incompatible request (FIFO grant order makes the latter a real wait). *)
 
-let blockers_of lock req =
+let blockers_of t slot waiters req =
   let from_holders =
     List.filter_map
       (fun (o, m) ->
         if o <> req.req_owner && not (compatible m req.req_mode) then Some o else None)
-      lock.holders
+      (holders_of t slot)
   in
   let ahead = ref [] in
   (try
@@ -143,7 +136,7 @@ let blockers_of lock req =
            && r.req_owner <> req.req_owner
            && not (compatible r.req_mode req.req_mode)
          then ahead := r.req_owner :: !ahead)
-       lock.waiters
+       waiters
    with Exit -> ());
   from_holders @ !ahead
 
@@ -151,18 +144,18 @@ let blockers_of lock req =
    queues.  Deadlock check is rare (only on block), so recomputing is fine. *)
 let waits_for_edges t =
   let edges = Hashtbl.create 16 in
-  Target_table.iter
-    (fun _ lock ->
+  Hashtbl.iter
+    (fun slot waiters ->
       Queue.iter
         (fun req ->
           if not req.granted then
             Hashtbl.replace edges req.req_owner
-              (blockers_of lock req
+              (blockers_of t slot waiters req
               @ (match Hashtbl.find_opt edges req.req_owner with
                 | Some l -> l
                 | None -> [])))
-        lock.waiters)
-    t.table;
+        waiters)
+    t.queues;
   edges
 
 let find_cycle t start =
@@ -185,50 +178,64 @@ let find_cycle t start =
 
 (* ---- Grant / wait ------------------------------------------------------ *)
 
-let add_holder lock owner mode =
-  if not (List.exists (fun (o, m) -> o = owner && m = mode) lock.holders) then
-    lock.holders <- (owner, mode) :: lock.holders
+let add_holder t slot owner mode =
+  ignore (Locktab.add t.table ~slot ~owner:(Locktab.owner_record t.table owner) (int_of_mode mode))
 
-let grant_waiters t lock =
+let grant_waiters t slot =
   (* FIFO: grant from the front while requests are compatible with the
      current holders; stop at the first that is not, to avoid starving it. *)
-  let rec loop () =
-    match Queue.peek_opt lock.waiters with
-    | None -> ()
-    | Some req ->
-        if conflicts_with_holders lock ~owner:req.req_owner ~mode:req.req_mode then ()
-        else begin
-          ignore (Queue.pop lock.waiters);
-          add_holder lock req.req_owner req.req_mode;
+  if queued t slot then begin
+    let waiters = Hashtbl.find t.queues slot in
+    let rec loop () =
+      if not (Queue.is_empty waiters) then begin
+        let req = Queue.peek waiters in
+        if not (conflicts_with_holders t slot ~owner:req.req_owner ~mode:req.req_mode) then begin
+          ignore (Queue.pop waiters);
+          add_holder t slot req.req_owner req.req_mode;
           req.granted <- true;
           t.waiting <- t.waiting - 1;
           Waitq.wake_all req.signal;
           loop ()
         end
-  in
-  loop ()
+      end
+    in
+    loop ();
+    if Queue.is_empty waiters then Hashtbl.remove t.queues slot
+  end
 
-let remove_request lock req =
+let drop_if_idle t slot = if not (queued t slot) then Locktab.drop_if_idle t.table slot
+
+(* Withdraw a request that will not be granted, letting the requests
+   queued behind it through. *)
+let withdraw t slot req =
+  let waiters = Hashtbl.find t.queues slot in
   let keep = Queue.create () in
-  Queue.iter (fun r -> if r != req then Queue.add r keep) lock.waiters;
-  Queue.clear lock.waiters;
-  Queue.transfer keep lock.waiters
+  Queue.iter (fun r -> if r != req then Queue.add r keep) waiters;
+  Queue.clear waiters;
+  Queue.transfer keep waiters;
+  t.waiting <- t.waiting - 1;
+  if Queue.is_empty waiters then Hashtbl.remove t.queues slot;
+  grant_waiters t slot;
+  drop_if_idle t slot
+
+let uncontended t slot ~owner ~mode =
+  (not (conflicts_with_holders t slot ~owner ~mode)) && not (queued t slot)
 
 let acquire t ~owner target mode =
-  let lock = get_lock t target in
-  if holds t ~owner target mode then ()
-  else if
-    (not (conflicts_with_holders lock ~owner ~mode)) && Queue.is_empty lock.waiters
-  then begin
-    add_holder lock owner mode;
-    note_owned t owner target
-  end
+  let slot = Locktab.intern t.table target in
+  if holds_slot t slot ~owner ~mode then ()
+  else if uncontended t slot ~owner ~mode then add_holder t slot owner mode
   else begin
     let req = { req_owner = owner; req_mode = mode; granted = false; signal = Waitq.create () } in
-    Queue.add req lock.waiters;
+    (match Hashtbl.find_opt t.queues slot with
+    | Some waiters -> Queue.add req waiters
+    | None ->
+        let waiters = Queue.create () in
+        Queue.add req waiters;
+        Hashtbl.replace t.queues slot waiters);
     t.waiting <- t.waiting + 1;
     (* Maybe the queue was non-empty only with compatible requests. *)
-    grant_waiters t lock;
+    grant_waiters t slot;
     if not req.granted then begin
       Obs.incr t.m_waits;
       (* The wait interval is a child span of the owning transaction's span
@@ -255,52 +262,49 @@ let acquire t ~owner target mode =
       in
       (match find_cycle t owner with
       | Some cycle ->
-          remove_request lock req;
-          t.waiting <- t.waiting - 1;
-          grant_waiters t lock;
+          withdraw t slot req;
           Obs.incr t.m_deadlocks;
           close ~fate:"deadlock" ();
           raise (Deadlock { victim = owner; cycle })
       | None -> ());
       (try t.sched.suspend req.signal
        with e ->
-         if not req.granted then begin
-           remove_request lock req;
-           t.waiting <- t.waiting - 1;
-           grant_waiters t lock
-         end;
+         if not req.granted then withdraw t slot req;
          close ~fate:"interrupted" ();
          raise e);
       assert req.granted;
       close ()
-    end;
-    note_owned t owner target
+    end
   end
 
 let try_acquire t ~owner target mode =
-  let lock = get_lock t target in
-  if holds t ~owner target mode then true
-  else if
-    (not (conflicts_with_holders lock ~owner ~mode)) && Queue.is_empty lock.waiters
-  then begin
-    add_holder lock owner mode;
-    note_owned t owner target;
+  let slot = Locktab.intern t.table target in
+  if holds_slot t slot ~owner ~mode then true
+  else if uncontended t slot ~owner ~mode then begin
+    add_holder t slot owner mode;
     true
   end
   else false
 
+(* Targets are released in reverse order of acquisition: the owner's
+   chain is newest first, and each step drops every mode the owner holds
+   on the head node's target before granting that target's waiters. *)
 let release_all t ~owner =
-  match Hashtbl.find_opt t.owned owner with
-  | None -> ()
-  | Some targets ->
-      Hashtbl.remove t.owned owner;
-      List.iter
-        (fun target ->
-          match Target_table.find_opt t.table target with
-          | None -> ()
-          | Some lock ->
-              lock.holders <- List.filter (fun (o, _) -> o <> owner) lock.holders;
-              grant_waiters t lock;
-              if lock.holders = [] && Queue.is_empty lock.waiters then
-                Target_table.remove t.table target)
-        !targets
+  let tab = t.table in
+  let o = Locktab.owner tab owner in
+  if o >= 0 then begin
+    let n = ref (Locktab.first_held tab o) in
+    while !n >= 0 do
+      let slot = Locktab.slot tab !n in
+      let h = ref (Locktab.first_holder tab slot) in
+      while !h >= 0 do
+        let next = Locktab.next_holder tab !h in
+        if Locktab.holder tab !h = owner then Locktab.remove tab !h;
+        h := next
+      done;
+      grant_waiters t slot;
+      drop_if_idle t slot;
+      n := Locktab.first_held tab o
+    done;
+    Locktab.free_owner tab o
+  end

@@ -8,16 +8,22 @@
     waits-for cycle raises {!Deadlock} in the requester, which the engine
     turns into a serialization failure.
 
-    Lock targets use the same granularities as the SSI lock manager:
-    relation, heap page, tuple, and index leaf page. *)
+    Lock targets and the table that holds them are shared with the SSI
+    lock manager ({!Ssi_storage.Locktab}); the engine locks relations,
+    heap pages, tuples, and index leaf pages.  Granting a lock that is
+    free or already held, and releasing all of an owner's locks when no
+    one waits, allocate nothing beyond the target the caller passes. *)
 
 open Ssi_storage
 
-type target =
+type target = Locktab.target =
   | Relation of string
   | Page of string * int
   | Tuple of string * Value.t
   | Index_page of string * int
+  | Index_key of string * Value.t
+  | Index_inf of string
+  | Index_rel of string
 
 val pp_target : Format.formatter -> target -> unit
 
@@ -53,13 +59,14 @@ val try_acquire : t -> owner:Heap.xid -> target -> mode -> bool
 (** Like {!acquire} but returns [false] instead of waiting. *)
 
 val release_all : t -> owner:Heap.xid -> unit
-(** Drop every lock held by [owner] (commit/abort), granting waiters. *)
+(** Drop every lock held by [owner] (commit/abort), target by target in
+    reverse order of acquisition, granting each target's waiters. *)
 
 val holds : t -> owner:Heap.xid -> target -> mode -> bool
 (** Whether [owner] holds a mode covering [mode] on [target]. *)
 
 val held_by : t -> target -> (Heap.xid * mode) list
-(** Current holders (for tests and introspection). *)
+(** Current holders, newest first (for tests and introspection). *)
 
 val lock_count : t -> int
 (** Total number of (owner, target) holdings. *)

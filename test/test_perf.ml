@@ -20,7 +20,8 @@
    - a budgeted deep-savepoint test that fails if rollback cost returns
      to quadratic in the undo-log length;
    - exact allocation budgets for the read path, per operation and
-     isolation level, and zero words for a covered SIREAD request. *)
+     isolation level, zero words for a covered SIREAD request, and zero
+     words for steady-state grants and releases in both lock managers. *)
 
 open Ssi_storage
 open Ssi_workload
@@ -337,15 +338,15 @@ let alloc_cases =
   [
     ("index_scan 50 rows, SI", si, no_prepare, scan_50, 593.);
     ("index_scan 50 rows, SSI safe snapshot", ssi_ro, no_prepare, scan_50, 593.);
-    ("index_scan 50 rows, SSI tracked", ssi, no_prepare, scan_50, 1713.);
+    ("index_scan 50 rows, SSI tracked", ssi, no_prepare, scan_50, 1275.);
     ( "index_scan 50 rows, SSI tracked, rows already covered",
       ssi,
       (fun t -> scan_50 t 0),
       scan_50,
       633. );
-    ("index_scan 50 rows, S2PL", s2pl, no_prepare, scan_50, 5059.);
-    ("read, SSI tracked", ssi, no_prepare, read, 308.);
-    ("update, SSI tracked", ssi, no_prepare, update, 456.);
+    ("index_scan 50 rows, S2PL", s2pl, no_prepare, scan_50, 1795.);
+    ("read, SSI tracked", ssi, no_prepare, read, 86.);
+    ("update, SSI tracked", ssi, no_prepare, update, 184.);
   ]
 
 let alloc_test (name, start, prepare, op, budget) =
@@ -386,6 +387,93 @@ let test_covered_read_allocates_nothing () =
     ];
   Alcotest.(check int) "no tuple lock taken" 2 (P.owner_lock_count cert.C.locks xid)
 
+(* The lock table's steady state, for both lock managers: once its arrays
+   have grown, granting, re-granting, probing and releasing allocate
+   nothing.  A grant of a target the table does not hold yet stores the
+   target value, which the caller builds (here, before measuring). *)
+let words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+let check_words cases =
+  List.iter
+    (fun (what, expect, f) -> Alcotest.(check (float 0.)) (what ^ ": words") expect (words f))
+    cases
+
+let test_lockmgr_allocates_nothing () =
+  let module L = Ssi_lockmgr.Lockmgr in
+  let lm = L.create Ssi_util.Waitq.direct in
+  let rel = L.Relation "t" and tuples = Array.init 64 (fun k -> L.Tuple ("t", vi k)) in
+  for owner = 1 to 4 do
+    L.acquire lm ~owner rel L.IS;
+    Array.iter (fun tg -> L.acquire lm ~owner tg L.S) tuples
+  done;
+  for owner = 1 to 4 do
+    L.release_all lm ~owner
+  done;
+  let fresh = L.Tuple ("t", vi 99) in
+  check_words
+    [
+      ("first grant of a new owner", 0., fun () -> L.acquire lm ~owner:5 rel L.IS);
+      ("re-grant of a held lock", 0., fun () -> L.acquire lm ~owner:5 rel L.IS);
+      ("covered re-grant", 0., fun () -> L.acquire lm ~owner:5 rel L.IS);
+      ("uncontended grant", 0., fun () -> L.acquire lm ~owner:5 tuples.(3) L.X);
+      ("grant of a new target", 0., fun () -> L.acquire lm ~owner:5 fresh L.S);
+      ("shared grant", 0., fun () -> L.acquire lm ~owner:6 tuples.(4) L.S);
+      ("holds", 0., fun () -> ignore (L.holds lm ~owner:5 tuples.(3) L.S));
+      ("release_all", 0., fun () -> L.release_all lm ~owner:5);
+    ];
+  Alcotest.(check int) "owner 6 keeps its lock" 1 (L.lock_count lm)
+
+let test_predlock_allocates_nothing () =
+  let p = P.create () in
+  let keys = Array.init 64 vi in
+  (* Tuples on distinct pages, so no grant here promotes. *)
+  let lock owner k = P.lock_tuple p ~owner ~rel:"r" ~key:keys.(k) ~page:k in
+  for owner = 1 to 4 do
+    for k = 0 to 63 do
+      lock owner k
+    done
+  done;
+  for owner = 1 to 3 do
+    P.summarize_owner p owner ~cseq:owner
+  done;
+  P.cleanup_old_committed p ~before:4;
+  (* Owner 4 still holds every tuple, so each target is in the table. *)
+  check_words
+    [
+      ("tuple grant", 0., fun () -> lock 5 7);
+      ("tuple re-grant", 0., fun () -> lock 5 7);
+      ("second tuple grant", 0., fun () -> lock 5 8);
+      ("holds", 0., fun () -> ignore (P.covers_tuple p ~owner:5 ~rel:"r" ~page:7));
+      ("unlock_tuple", 0., fun () -> P.unlock_tuple p ~owner:5 ~rel:"r" ~key:keys.(8));
+      ("release_owner", 0., fun () -> P.release_owner p 5);
+      ("tuple grant of a recycled owner", 0., fun () -> lock 6 9);
+      ("summarize_owner", 0., fun () -> P.summarize_owner p 6 ~cseq:5);
+      ("cleanup_old_committed", 0., fun () -> P.cleanup_old_committed p ~before:6);
+    ];
+  Alcotest.(check int) "owner 4's locks remain" 64 (P.total_lock_count p)
+
+(* One owner's 20,000 SIREAD tuple locks, each on its own heap page, so
+   none is promoted: the per-page promotion check must stay O(1) in the
+   owner's lock count.  Linear takes a few hundredths of a second; a check
+   that walked the owner's locks took over 5 s for this shape.  The
+   generous budget only fails on a complexity regression. *)
+let test_many_tuple_locks_linear () =
+  let p = P.create () and n = 20_000 in
+  let keys = Array.init n vi in
+  let t0 = Sys.time () in
+  for k = 0 to n - 1 do
+    P.lock_tuple p ~owner:1 ~rel:"r" ~key:keys.(k) ~page:k
+  done;
+  P.release_owner p 1;
+  let elapsed = Sys.time () -. t0 in
+  Alcotest.(check int) "all released" 0 (P.total_lock_count p);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d tuple locks linear (%.2fs)" n elapsed)
+    true (elapsed < 1.0)
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -403,10 +491,15 @@ let () =
         @ [
             Alcotest.test_case "covered SIREAD read allocates nothing" `Quick
               test_covered_read_allocates_nothing;
+            Alcotest.test_case "S2PL lock table allocates nothing" `Quick
+              test_lockmgr_allocates_nothing;
+            Alcotest.test_case "SIREAD lock table allocates nothing" `Quick
+              test_predlock_allocates_nothing;
           ] );
       ( "complexity",
         [
           Alcotest.test_case "deep savepoint rollback linear" `Quick
             test_deep_savepoint_rollback_linear;
+          Alcotest.test_case "many tuple locks linear" `Quick test_many_tuple_locks_linear;
         ] );
     ]

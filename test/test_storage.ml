@@ -163,6 +163,92 @@ let test_heap_fold_iter () =
   Heap.iter_heads h (fun _ -> incr n);
   Alcotest.(check int) "iter count" 10 !n
 
+(* ---- Lock table: growth, deletion and recycling ---------------------------- *)
+
+(* Random holdings of many owners on many targets, so the slot and owner
+   indexes grow, rehash and delete (backward shift) well past their
+   initial size.  A list of live (owner, target) holdings is the model:
+   each slot must be found exactly while someone holds it, both chains
+   must list exactly the model's holdings, newest first, and freed owner
+   records and slots must come back for new owners and targets. *)
+type lt_op = Hold of int * int | Drop of int * int | Retire of int
+
+let lt_targets =
+  Array.init 300 (fun i ->
+      match i mod 3 with
+      | 0 -> Locktab.Tuple ("t", Value.Int i)
+      | 1 -> Locktab.Page ("t", i)
+      | _ -> Locktab.Index_key ("t_pkey", Value.Str (string_of_int i)))
+
+let lt_op_gen =
+  QCheck.Gen.(
+    let owner = int_range 1 150 and target = int_range 0 (Array.length lt_targets - 1) in
+    frequency
+      [
+        (6, map2 (fun o i -> Hold (o, i)) owner target);
+        (2, map2 (fun o i -> Drop (o, i)) owner target);
+        (1, map (fun o -> Retire o) owner);
+      ])
+
+let prop_locktab_model =
+  QCheck.Test.make ~name:"lock table matches a list of holdings" ~count:200
+    QCheck.(make Gen.(list_size (int_range 200 1500) lt_op_gen))
+    (fun ops ->
+      let t = Locktab.create () and live = ref [] in
+      let chain first next =
+        let rec go n = if n < 0 then [] else n :: go (next t n) in
+        go first
+      in
+      let drop o i =
+        let s = Locktab.find t lt_targets.(i) and r = Locktab.owner t o in
+        if s >= 0 && r >= 0 then begin
+          let n = Locktab.holding t s r in
+          if n >= 0 then begin
+            Locktab.remove t n;
+            Locktab.drop_if_idle t s;
+            live := List.filter (( <> ) (o, i)) !live
+          end
+        end
+      in
+      List.iter
+        (function
+          | Hold (o, i) ->
+              if not (List.mem (o, i) !live) then begin
+                let s = Locktab.intern t lt_targets.(i) in
+                ignore (Locktab.add t ~slot:s ~owner:(Locktab.owner_record t o) i);
+                live := (o, i) :: !live
+              end
+          | Drop (o, i) -> drop o i
+          | Retire o ->
+              List.iter (fun (o', i) -> if o' = o then drop o i) !live;
+              let r = Locktab.owner t o in
+              if r >= 0 then Locktab.free_owner t r)
+        ops;
+      Array.iteri
+        (fun i tg ->
+          let s = Locktab.find t tg in
+          let holders = List.filter_map (fun (o, i') -> if i' = i then Some o else None) !live in
+          if holders = [] then begin
+            if s >= 0 then QCheck.Test.fail_reportf "target %d still interned" i
+          end
+          else if s < 0 then QCheck.Test.fail_reportf "target %d lost" i
+          else if Locktab.target t s <> tg then QCheck.Test.fail_reportf "target %d misfiled" i
+          else if
+            List.map (Locktab.holder t) (chain (Locktab.first_holder t s) Locktab.next_holder)
+            <> holders
+          then QCheck.Test.fail_reportf "holders of target %d" i)
+        lt_targets;
+      for o = 1 to 150 do
+        let r = Locktab.owner t o in
+        let mine = List.filter_map (fun (o', i) -> if o' = o then Some i else None) !live in
+        let held =
+          if r < 0 then []
+          else List.map (Locktab.value t) (chain (Locktab.first_held t r) Locktab.next_held)
+        in
+        if held <> mine then QCheck.Test.fail_reportf "holdings of owner %d" o
+      done;
+      Locktab.holdings t = List.length !live)
+
 let () =
   Alcotest.run "storage"
     [
@@ -188,4 +274,5 @@ let () =
           Alcotest.test_case "prune" `Quick test_heap_prune;
           Alcotest.test_case "fold/iter" `Quick test_heap_fold_iter;
         ] );
+      qsuite "locktab" [ prop_locktab_model ];
     ]
